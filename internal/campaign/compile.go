@@ -449,16 +449,6 @@ func (p *Plan) ensureEngineCells(cells []int) error {
 						Events:       obs.Scope{Obs: p.cfg.Observer, Cell: cellIdx, Key: cellKey, Trial: trial},
 					}, res)
 				},
-				RunBatchOn: func(br *core.BatchRunner, seeds []uint64, res []core.RunResult) error {
-					return br.RunRandomBatch(sys, core.BatchOptions{
-						SchedName:    daemon,
-						Sched:        mkSched,
-						MaxSteps:     p.cfg.MaxSteps,
-						CheckEvery:   1,
-						SuffixRounds: suffix,
-						Legitimate:   legit,
-					}, seeds, res)
-				},
 			}
 			continue
 		}

@@ -103,39 +103,6 @@ func TestDeterminismAcrossShards(t *testing.T) {
 	}
 }
 
-// plainCampaignSrc has no adversary axis, so every cell compiles to the
-// batchable plain-protocol form.
-const plainCampaignSrc = `campaign det-plain
-seed 2009
-trials 5
-max-steps 100000
-graph path 4..8/2
-graph cycle 5
-protocol coloring mis
-metrics silent legitimate rounds moves total-reads total-bits
-`
-
-// TestDeterminismAcrossBatchWidths: JSONL bytes and summary tables are
-// identical for every lockstep batch width — off, auto, ragged, beyond
-// the trial budget — on plain cells, and faulted cells (which have no
-// batched form) ignore the knob entirely.
-func TestDeterminismAcrossBatchWidths(t *testing.T) {
-	t.Parallel()
-	for _, src := range []string{plainCampaignSrc, testCampaignSrc} {
-		ref, refOut := renderJSONL(t, src, 2, RunOptions{Batch: 1})
-		refTable := refOut.Table().String()
-		for _, batch := range []int{0, 3, 65} {
-			got, out := renderJSONL(t, src, 2, RunOptions{Batch: batch})
-			if got != ref {
-				t.Fatalf("JSONL differs between batch 1 and %d:\n--- 1 ---\n%s\n--- %d ---\n%s", batch, ref, batch, got)
-			}
-			if tab := out.Table().String(); tab != refTable {
-				t.Fatalf("table differs between batch 1 and %d", batch)
-			}
-		}
-	}
-}
-
 func TestDeterminismAcrossCacheResume(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()

@@ -35,11 +35,6 @@ type RunOptions struct {
 	// cold-cache and warm-cache runs (and across Parallelism values; see
 	// internal/obs).
 	Observer obs.Observer
-	// Batch is the lockstep trial batch width of plain (non-faulted)
-	// cells (engine.Config.BatchSize): 0 picks the auto width, 1
-	// disables batching. Records, events and cache entries are
-	// byte-identical at every width, so the cell fingerprint ignores it.
-	Batch int
 }
 
 // CellResult pairs one owned cell with its per-trial records.
@@ -165,7 +160,6 @@ func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
 		// events carry sub-slice-local cell indices; remap them to the
 		// absolute campaign indices every other emitter uses.
 		runCfg := p.cfg
-		runCfg.BatchSize = opts.Batch
 		if opts.Observer != nil {
 			runCfg.Observer = remapObserver{o: opts.Observer, abs: abs}
 		}
@@ -207,23 +201,20 @@ func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
 // ComputeCell executes cell i's trials on the caller-owned worker
 // context, returning the records in trial order. The cell must have
 // been materialized (Materialize) and the plan's observer bound
-// (SetObserver) before any worker starts. batch is the lockstep batch
-// width of plain cells (0 auto, 1 off), exactly RunOptions.Batch.
+// (SetObserver) before any worker starts.
 //
 // Seeds, events and the stop rule are exactly the engine pool's — the
 // records (and the canonical event stream) are byte-identical to a
 // Plan.Run of the same cell, no matter which worker computes it or in
 // what order cells are claimed. This is the execution primitive of the
 // campaign service's work-stealing coordinator.
-func (p *Plan) ComputeCell(w *engine.WorkerCtx, i, batch int) ([]TrialRecord, error) {
+func (p *Plan) ComputeCell(w *engine.WorkerCtx, i int) ([]TrialRecord, error) {
 	if p.cells[i].RunOn == nil && p.cells[i].RunFaultOn == nil {
 		return nil, fmt.Errorf("campaign: cell %q computed without Materialize", p.Cells[i].Key)
 	}
-	cfg := p.cfg
-	cfg.BatchSize = batch
 	recs := make([]TrialRecord, 0, p.cfg.Trials)
 	if p.Faulted {
-		err := engine.RunFaultCellReduce(cfg, w, &p.cells[i], p.Cells[i].Index,
+		err := engine.RunFaultCellReduce(p.cfg, w, &p.cells[i], p.Cells[i].Index,
 			func(_, trial int, res *core.FaultResult) error {
 				var rec TrialRecord
 				rec.fillFault(res)
@@ -232,7 +223,7 @@ func (p *Plan) ComputeCell(w *engine.WorkerCtx, i, batch int) ([]TrialRecord, er
 			})
 		return recs, err
 	}
-	err := engine.RunCellReduce(cfg, w, &p.cells[i], p.Cells[i].Index,
+	err := engine.RunCellReduce(p.cfg, w, &p.cells[i], p.Cells[i].Index,
 		func(_, trial int, res *core.RunResult) error {
 			var rec TrialRecord
 			rec.fillRun(res)

@@ -2,23 +2,25 @@
 // experiment registry (internal/experiment) and the campaign subsystem
 // (internal/campaign). Every cell — one protocol family on one graph
 // under one scheduler, optionally with a fault adversary — expands into
-// Config.Trials independent trial jobs that a worker pool executes
-// across Config.Parallelism goroutines. Each worker owns one reusable
-// *core.Runner (recorder, simulator, scheduler, configuration buffers),
-// so the steady-state trial loop allocates nothing; results are either
-// materialized per trial (RunCells) or streamed through a fold without
-// being retained (RunCellsReduce, RunFaultCellsReduce).
+// Config.Trials independent trials. A worker pool spreads the cells
+// across Config.Parallelism goroutines, and the worker that claims a
+// cell runs all of its trials in trial order. Each worker owns one
+// reusable *core.Runner (recorder, simulator, scheduler, configuration
+// buffers), so the steady-state trial loop allocates nothing. Results
+// stream through a fold in trial order without being retained
+// (RunCellsReduce for plain cells, RunFaultCellsReduce for injected
+// ones); RunCellReduce and RunFaultCellReduce run a single cell on a
+// caller-owned WorkerCtx.
 //
 // Determinism: the seed of trial t of a cell is
 //
 //	rng.Derive(rng.DeriveString(Config.Seed, cell.Key), t)
 //
 // a pure function of the master seed, the cell key and the trial index.
-// No seed depends on scheduling order, and results land in a
-// position-indexed matrix (or fold in trial order per cell), so the
-// output is byte-identical for every Parallelism value (1 reproduces
-// fully sequential execution) and identical between the pooled and
-// one-shot execution paths.
+// No seed depends on scheduling order, and results fold in trial order
+// per cell, so the output is byte-identical for every Parallelism value
+// (1 reproduces fully sequential execution) and identical to running
+// every trial on a fresh core.Runner.
 package engine
 
 import (
@@ -34,8 +36,8 @@ import (
 	"repro/internal/stats"
 )
 
-// StopRule is the sequential trial-stopping criterion of the streaming
-// fold paths: instead of a fixed Config.Trials budget, a cell keeps
+// StopRule is the sequential trial-stopping criterion of the trial
+// loop: instead of a fixed Config.Trials budget, a cell keeps
 // running trials until the normal-approximation 95% confidence interval
 // on its mean rounds-to-silence is at most HalfWidth wide (half-width),
 // bounded below by Min and above by Max trials. Low-variance cells stop
@@ -45,9 +47,7 @@ import (
 //
 // Determinism: the realized trial count is a pure function of the trial
 // result stream, which is itself a pure function of (seed, cell key) —
-// so adaptive runs stay byte-identical across Parallelism values. The
-// rule applies only to the cell-affine fold paths (RunCellsReduce,
-// RunFaultCellsReduce); RunCells always materializes the fixed budget.
+// so adaptive runs stay byte-identical across Parallelism values.
 type StopRule struct {
 	// HalfWidth > 0 enables the rule: the target half-width of the 95%
 	// CI on mean rounds-to-silence.
@@ -96,8 +96,8 @@ type Config struct {
 	// Seed drives all randomness.
 	Seed uint64
 	// Trials is the number of adversarial initial configurations per
-	// cell (default 5). The fold paths run fewer under an enabled Stop
-	// rule (which replaces the fixed budget with its Min..Max bounds).
+	// cell (default 5). Fewer run under an enabled Stop rule (which
+	// replaces the fixed budget with its Min..Max bounds).
 	Trials int
 	// MaxSteps is the per-run step budget (default 1_000_000).
 	MaxSteps int
@@ -106,46 +106,15 @@ type Config struct {
 	// value; see the package documentation.
 	Parallelism int
 	// Observer receives structured run events (nil: no observation, the
-	// free default). The cell-affine fold paths emit cell-start,
-	// trial-start, trial-finish and cell-finish; core-level events
-	// (silence, injections, recovery episodes) are emitted by the trial
-	// closures that thread an obs.Scope into core.RunOptions.Events.
-	// RunCells (trial-parallel, not cell-affine) emits no events: its
-	// interleaving would make per-cell event order scheduling-dependent.
+	// free default). The trial loop emits cell-start, trial-start,
+	// trial-finish and cell-finish from the one worker that owns the
+	// cell; core-level events (silence, injections, recovery episodes)
+	// are emitted by the trial closures that thread an obs.Scope into
+	// core.RunOptions.Events.
 	Observer obs.Observer
-	// Stop, when enabled, replaces the fixed Trials budget on the fold
-	// paths with sequential stopping; see StopRule.
+	// Stop, when enabled, replaces the fixed Trials budget with
+	// sequential stopping; see StopRule.
 	Stop StopRule
-	// BatchSize selects the lockstep trial batch width of the cell-affine
-	// fold paths: a cell that provides RunBatchOn advances up to
-	// BatchSize trials together on the worker's BatchRunner, sharing one
-	// step arena and orbit probe across lanes. 0 picks the auto width
-	// (16, or 1 when Stop is enabled — lockstep lanes run ahead of the
-	// stopping decision and would mostly be discarded); 1 disables
-	// batching. Results, fold order and the event stream are identical at
-	// every width: trials retire raggedly inside the batch and are
-	// drained — events, fold, stop rule — strictly in trial order.
-	BatchSize int
-}
-
-// autoBatchWidth is the lockstep width BatchSize=0 selects for batchable
-// cells without a stop rule: wide enough to amortize the shared step
-// scratch, narrow enough that a cell's tail chunk stays mostly full.
-const autoBatchWidth = 16
-
-// batchWidth resolves the lockstep width for one cell.
-func (c Config) batchWidth(cell *Cell) int {
-	if cell.RunBatchOn == nil {
-		return 1
-	}
-	b := c.BatchSize
-	if b <= 0 {
-		if c.Stop.Enabled() {
-			return 1
-		}
-		b = autoBatchWidth
-	}
-	return b
 }
 
 // WithDefaults fills unset fields with the engine defaults.
@@ -164,51 +133,21 @@ func (c Config) WithDefaults() Config {
 }
 
 // Cell is one unit of the experiment grid: a stable key used for seed
-// derivation plus the function executing one adversarial trial. Exactly
-// one of Run, RunOn and RunFaultOn must be non-nil; all must be safe for
-// concurrent invocation across trials (systems and graphs are immutable
-// after construction).
+// derivation plus the function executing one adversarial trial. Plain
+// cells set RunOn and run under RunCellsReduce; injected cells set
+// RunFaultOn and run under RunFaultCellsReduce. The hooks must be safe
+// for concurrent invocation across trials (systems and graphs are
+// immutable after construction).
 type Cell struct {
 	// Key identifies the cell in the experiment grid; distinct cells of
-	// one RunCells call must use distinct keys or they will share trial
-	// seeds.
+	// one run must use distinct keys or they will share trial seeds.
 	Key string
-	// Run executes trial `trial` with the derived seed, materializing a
-	// fresh result.
-	Run func(trial int, seed uint64) (*core.RunResult, error)
-	// RunOn executes the trial on the calling worker's reusable Runner,
-	// filling res in place. It is the allocation-free form: the pool
-	// passes a fresh res when results are retained (RunCells) and a
-	// reused buffer when they are folded away (RunCellsReduce).
+	// RunOn executes trial `trial` with the derived seed on the calling
+	// worker's reusable Runner, filling the worker-owned res in place.
 	RunOn func(rn *core.Runner, trial int, seed uint64, res *core.RunResult) error
 	// RunFaultOn executes the trial as an injected (adversarial-fault)
-	// trial, filling a FaultResult in place. Cells of this form run only
-	// under RunFaultCellsReduce.
+	// trial, filling a FaultResult in place.
 	RunFaultOn func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error
-	// RunBatchOn, when non-nil, executes len(seeds) trials of the cell in
-	// lockstep on the worker's reusable BatchRunner: res[k] must be
-	// exactly the result RunOn would produce for seeds[k]. Optional
-	// companion to RunOn, used only by RunCellsReduce when the resolved
-	// batch width exceeds 1; cells whose trials cannot share a system
-	// (faulted or dynamic topologies) leave it nil and always run
-	// per-trial.
-	RunBatchOn func(br *core.BatchRunner, seeds []uint64, res []core.RunResult) error
-}
-
-// runTrial executes one trial of c, materializing into reuse when
-// non-nil (RunOn cells only; legacy Run cells always allocate).
-func (c *Cell) runTrial(rn *core.Runner, trial int, seed uint64, reuse *core.RunResult) (*core.RunResult, error) {
-	if c.RunOn != nil {
-		res := reuse
-		if res == nil {
-			res = &core.RunResult{}
-		}
-		if err := c.RunOn(rn, trial, seed, res); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	return c.Run(trial, seed)
 }
 
 func cellSeedsFor(cfg Config, cells []Cell) []uint64 {
@@ -219,44 +158,21 @@ func cellSeedsFor(cfg Config, cells []Cell) []uint64 {
 	return seeds
 }
 
-// RunCells executes cfg.Trials trials of every cell on the worker pool
-// and returns the results indexed [cell][trial]. Jobs are ordered
-// cell-major, so a worker's consecutive jobs usually share a cell and its
-// Runner stays bound to one system.
-func RunCells(cfg Config, cells []Cell) ([][]*core.RunResult, error) {
-	cfg = cfg.WithDefaults()
-	out := make([][]*core.RunResult, len(cells))
-	for i := range out {
-		out[i] = make([]*core.RunResult, cfg.Trials)
-	}
-	cellSeeds := cellSeedsFor(cfg, cells)
-	err := forEachCtx(cfg.Parallelism, len(cells)*cfg.Trials, core.NewRunner, func(rn *core.Runner, j int) error {
-		cell, trial := j/cfg.Trials, j%cfg.Trials
-		res, err := cells[cell].runTrial(rn, trial, rng.Derive(cellSeeds[cell], uint64(trial)), nil)
-		if err != nil {
-			return fmt.Errorf("cell %q trial %d: %w", cells[cell].Key, trial, err)
-		}
-		out[cell][trial] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // WorkerCtx is the reusable per-worker execution context of the
 // cell-at-a-time entry points (RunCellReduce, RunFaultCellReduce): the
-// per-trial Runner plus the lazily-bound lockstep BatchRunner and its
-// buffers. Callers that schedule cells themselves — the campaign
-// service's work-stealing coordinator — create one per worker goroutine
-// and reuse it across every cell that worker claims, exactly as the
-// pool paths do internally.
-type WorkerCtx struct{ reduceCtx }
+// per-trial Runner plus its result buffers. Callers that schedule cells
+// themselves — the campaign service's work-stealing coordinator — create
+// one per worker goroutine and reuse it across every cell that worker
+// claims, exactly as the pool paths do internally.
+type WorkerCtx struct {
+	rn       *core.Runner
+	res      core.RunResult
+	faultRes core.FaultResult
+}
 
 // NewWorkerCtx returns a fresh worker context.
 func NewWorkerCtx() *WorkerCtx {
-	return &WorkerCtx{reduceCtx{rn: core.NewRunner()}}
+	return &WorkerCtx{rn: core.NewRunner()}
 }
 
 // RunCellReduce executes one cell's trials on w, folding every result
@@ -269,22 +185,49 @@ func NewWorkerCtx() *WorkerCtx {
 // the cell, in what order cells are claimed, or how a range was split.
 func RunCellReduce(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold func(cell, trial int, res *core.RunResult) error) error {
 	cfg = cfg.WithDefaults()
-	return runCellReduce(cfg, &w.reduceCtx, cell, idx, rng.DeriveString(cfg.Seed, cell.Key), fold)
+	return runCellReduce(cfg, w, cell, idx, rng.DeriveString(cfg.Seed, cell.Key), fold)
 }
 
 // RunFaultCellReduce is RunCellReduce for injected-trial cells (cells
 // that set RunFaultOn).
 func RunFaultCellReduce(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold func(cell, trial int, res *core.FaultResult) error) error {
 	cfg = cfg.WithDefaults()
-	return runFaultCellReduce(cfg, &w.reduceCtx, cell, idx, rng.DeriveString(cfg.Seed, cell.Key), fold)
+	return runFaultCellReduce(cfg, w, cell, idx, rng.DeriveString(cfg.Seed, cell.Key), fold)
 }
 
-// runCellReduce runs one plain cell at the resolved batch width.
-func runCellReduce(cfg Config, w *reduceCtx, cell *Cell, idx int, cellSeed uint64, fold func(cell, trial int, res *core.RunResult) error) error {
-	if width := cfg.batchWidth(cell); width > 1 {
-		return runCellReduceBatched(cfg, cell, idx, cellSeed, w, width, fold)
+// runCellReduce runs one plain cell.
+func runCellReduce(cfg Config, w *WorkerCtx, cell *Cell, idx int, cellSeed uint64, fold func(cell, trial int, res *core.RunResult) error) error {
+	if cell.RunOn == nil {
+		return fmt.Errorf("cell %q has no RunOn", cell.Key)
 	}
-	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellStart, Cell: idx, Key: cell.Key, Trial: -1})
+	return runTrials(cfg, cell.Key, idx, cellSeed,
+		func(trial int, seed uint64) (*core.RunResult, int, error) {
+			return &w.res, 0, cell.RunOn(w.rn, trial, seed, &w.res)
+		},
+		func(trial int) error { return fold(idx, trial, &w.res) })
+}
+
+// runFaultCellReduce runs one injected-trial cell.
+func runFaultCellReduce(cfg Config, w *WorkerCtx, cell *Cell, idx int, cellSeed uint64, fold func(cell, trial int, res *core.FaultResult) error) error {
+	if cell.RunFaultOn == nil {
+		return fmt.Errorf("cell %q has no RunFaultOn", cell.Key)
+	}
+	return runTrials(cfg, cell.Key, idx, cellSeed,
+		func(trial int, seed uint64) (*core.RunResult, int, error) {
+			err := cell.RunFaultOn(w.rn, trial, seed, &w.faultRes)
+			return &w.faultRes.RunResult, w.faultRes.Injections, err
+		},
+		func(trial int) error { return fold(idx, trial, &w.faultRes) })
+}
+
+// runTrials is the trial loop of one cell, shared by both cell kinds:
+// run executes a trial into a worker-owned buffer and returns its
+// outcome plus the trial-finish event's Count (injections; 0 for plain
+// trials), then fold consumes the buffer. Events, fold and the stop
+// rule see trials strictly in trial order.
+func runTrials(cfg Config, key string, idx int, cellSeed uint64,
+	run func(trial int, seed uint64) (*core.RunResult, int, error), fold func(trial int) error) error {
+	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellStart, Cell: idx, Key: key, Trial: -1})
 	budget := cfg.Trials
 	if cfg.Stop.Enabled() {
 		budget = cfg.Stop.Max
@@ -293,16 +236,16 @@ func runCellReduce(cfg Config, w *reduceCtx, cell *Cell, idx int, cellSeed uint6
 	realized := 0
 	for trial := 0; trial < budget; trial++ {
 		seed := rng.Derive(cellSeed, uint64(trial))
-		obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialStart, Cell: idx, Key: cell.Key, Trial: trial, Seed: seed})
-		res, err := cell.runTrial(w.rn, trial, seed, &w.res)
+		obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialStart, Cell: idx, Key: key, Trial: trial, Seed: seed})
+		res, count, err := run(trial, seed)
 		if err != nil {
-			return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
+			return fmt.Errorf("cell %q trial %d: %w", key, trial, err)
 		}
-		obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialFinish, Cell: idx, Key: cell.Key, Trial: trial,
+		obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialFinish, Cell: idx, Key: key, Trial: trial,
 			Silent: res.Silent, Legit: res.LegitimateAtSilence,
-			Step: res.StepsToSilence, Round: res.RoundsToSilence})
-		if err := fold(idx, trial, res); err != nil {
-			return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
+			Step: res.StepsToSilence, Round: res.RoundsToSilence, Count: count})
+		if err := fold(trial); err != nil {
+			return fmt.Errorf("cell %q trial %d: %w", key, trial, err)
 		}
 		realized = trial + 1
 		if cfg.Stop.Enabled() {
@@ -312,43 +255,7 @@ func runCellReduce(cfg Config, w *reduceCtx, cell *Cell, idx int, cellSeed uint6
 			}
 		}
 	}
-	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellFinish, Cell: idx, Key: cell.Key, Trial: -1, Count: realized})
-	return nil
-}
-
-// runFaultCellReduce runs one injected-trial cell.
-func runFaultCellReduce(cfg Config, w *reduceCtx, cell *Cell, idx int, cellSeed uint64, fold func(cell, trial int, res *core.FaultResult) error) error {
-	if cell.RunFaultOn == nil {
-		return fmt.Errorf("cell %q has no RunFaultOn", cell.Key)
-	}
-	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellStart, Cell: idx, Key: cell.Key, Trial: -1})
-	budget := cfg.Trials
-	if cfg.Stop.Enabled() {
-		budget = cfg.Stop.Max
-	}
-	var rounds stats.Stream
-	realized := 0
-	for trial := 0; trial < budget; trial++ {
-		seed := rng.Derive(cellSeed, uint64(trial))
-		obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialStart, Cell: idx, Key: cell.Key, Trial: trial, Seed: seed})
-		if err := cell.RunFaultOn(w.rn, trial, seed, &w.faultRes); err != nil {
-			return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
-		}
-		obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialFinish, Cell: idx, Key: cell.Key, Trial: trial,
-			Silent: w.faultRes.Silent, Legit: w.faultRes.LegitimateAtSilence,
-			Step: w.faultRes.StepsToSilence, Round: w.faultRes.RoundsToSilence, Count: w.faultRes.Injections})
-		if err := fold(idx, trial, &w.faultRes); err != nil {
-			return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
-		}
-		realized = trial + 1
-		if cfg.Stop.Enabled() {
-			rounds.Add(float64(w.faultRes.RoundsToSilence))
-			if cfg.Stop.done(realized, &rounds) {
-				break
-			}
-		}
-	}
-	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellFinish, Cell: idx, Key: cell.Key, Trial: -1, Count: realized})
+	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellFinish, Cell: idx, Key: key, Trial: -1, Count: realized})
 	return nil
 }
 
@@ -361,105 +268,23 @@ func runFaultCellReduce(cfg Config, w *reduceCtx, cell *Cell, idx int, cellSeed 
 // the cell, in trial order.
 //
 // Scheduling is cell-affine — one worker owns all trials of a cell,
-// running them in trial order on its reusable Runner with exactly the
-// trial seeds of RunCells — so fold(cell, trial, res) is invoked in
-// increasing trial order within each cell and aggregation is
-// deterministic at every Parallelism. fold runs concurrently for
-// DIFFERENT cells (never for the same cell): per-cell accumulators
-// indexed by cell need no locking, anything shared across cells does.
-// res is a worker-owned buffer valid only for the duration of the call;
-// fold must copy whatever needs to survive.
+// running them in trial order on its reusable Runner — so fold(cell,
+// trial, res) is invoked in increasing trial order within each cell and
+// aggregation is deterministic at every Parallelism. fold runs
+// concurrently for DIFFERENT cells (never for the same cell): per-cell
+// accumulators indexed by cell need no locking, anything shared across
+// cells does. res is a worker-owned buffer valid only for the duration
+// of the call; fold must copy whatever needs to survive.
 //
 // Cell affinity means effective parallelism is bounded by len(cells)
 // (the registry's grids have tens of cells, comfortably above typical
-// core counts). A grid of few cells with very many trials parallelizes
-// at the trial level only under RunCells — prefer it there and pay the
-// materialization.
+// core counts).
 func RunCellsReduce(cfg Config, cells []Cell, fold func(cell, trial int, res *core.RunResult) error) error {
 	cfg = cfg.WithDefaults()
 	cellSeeds := cellSeedsFor(cfg, cells)
-	return forEachCtx(cfg.Parallelism, len(cells), func() *reduceCtx { return &reduceCtx{rn: core.NewRunner()} },
-		func(w *reduceCtx, i int) error {
-			return runCellReduce(cfg, w, &cells[i], i, cellSeeds[i], fold)
-		})
-}
-
-// reduceCtx is the per-worker state of the fold paths: the reusable
-// per-trial Runner plus, bound lazily on the first batched cell, the
-// lockstep BatchRunner with its seed and result buffers.
-type reduceCtx struct {
-	rn       *core.Runner
-	res      core.RunResult
-	faultRes core.FaultResult
-
-	br       *core.BatchRunner
-	seeds    []uint64
-	batchRes []core.RunResult
-}
-
-// runCellReduceBatched runs one cell of RunCellsReduce at lockstep width
-// `width`: trials execute in chunks of up to `width` lanes on the
-// worker's BatchRunner, and every chunk is drained strictly in trial
-// order — per-trial events (trial-start, the silence diagnostic,
-// trial-finish) are synthesized at drain time from the lane results,
-// then the result folds, then the stop rule sees it. The synthesized
-// stream and fold sequence are exactly the unbatched loop's; under an
-// enabled stop rule, lanes past the stopping trial are computed but
-// discarded unseen, so the realized count matches the unbatched run.
-func runCellReduceBatched(cfg Config, cell *Cell, i int, cellSeed uint64, w *reduceCtx,
-	width int, fold func(cell, trial int, res *core.RunResult) error) error {
-	if w.br == nil {
-		w.br = core.NewBatchRunner()
-	}
-	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellStart, Cell: i, Key: cell.Key, Trial: -1})
-	budget := cfg.Trials
-	if cfg.Stop.Enabled() {
-		budget = cfg.Stop.Max
-	}
-	var rounds stats.Stream
-	realized := 0
-drain:
-	for base := 0; base < budget; base += width {
-		b := width
-		if rem := budget - base; b > rem {
-			b = rem
-		}
-		w.seeds = w.seeds[:0]
-		for k := 0; k < b; k++ {
-			w.seeds = append(w.seeds, rng.Derive(cellSeed, uint64(base+k)))
-		}
-		for cap(w.batchRes) < b {
-			w.batchRes = append(w.batchRes[:cap(w.batchRes)], core.RunResult{})
-		}
-		w.batchRes = w.batchRes[:b]
-		if err := cell.RunBatchOn(w.br, w.seeds, w.batchRes); err != nil {
-			return fmt.Errorf("cell %q trials %d..%d: %w", cell.Key, base, base+b-1, err)
-		}
-		for k := 0; k < b; k++ {
-			trial := base + k
-			res := &w.batchRes[k]
-			obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialStart, Cell: i, Key: cell.Key, Trial: trial, Seed: w.seeds[k]})
-			if res.Silent {
-				obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindSilence, Cell: i, Key: cell.Key, Trial: trial,
-					Step: res.StepsToSilence, Round: res.RoundsToSilence})
-			}
-			obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialFinish, Cell: i, Key: cell.Key, Trial: trial,
-				Silent: res.Silent, Legit: res.LegitimateAtSilence,
-				Step: res.StepsToSilence, Round: res.RoundsToSilence})
-			if err := fold(i, trial, res); err != nil {
-				return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
-			}
-			realized = trial + 1
-			if cfg.Stop.Enabled() {
-				rounds.Add(float64(res.RoundsToSilence))
-				if cfg.Stop.done(realized, &rounds) {
-					break drain
-				}
-			}
-		}
-	}
-	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellFinish, Cell: i, Key: cell.Key, Trial: -1, Count: realized})
-	return nil
+	return forEachCtx(cfg.Parallelism, len(cells), NewWorkerCtx, func(w *WorkerCtx, i int) error {
+		return runCellReduce(cfg, w, &cells[i], i, cellSeeds[i], fold)
+	})
 }
 
 // RunFaultCellsReduce is RunCellsReduce for injected trials: every cell
@@ -472,10 +297,9 @@ drain:
 func RunFaultCellsReduce(cfg Config, cells []Cell, fold func(cell, trial int, res *core.FaultResult) error) error {
 	cfg = cfg.WithDefaults()
 	cellSeeds := cellSeedsFor(cfg, cells)
-	return forEachCtx(cfg.Parallelism, len(cells), func() *reduceCtx { return &reduceCtx{rn: core.NewRunner()} },
-		func(w *reduceCtx, i int) error {
-			return runFaultCellReduce(cfg, w, &cells[i], i, cellSeeds[i], fold)
-		})
+	return forEachCtx(cfg.Parallelism, len(cells), NewWorkerCtx, func(w *WorkerCtx, i int) error {
+		return runFaultCellReduce(cfg, w, &cells[i], i, cellSeeds[i], fold)
+	})
 }
 
 // ForEach runs fn(0..n-1) on up to `workers` goroutines (<=0 selects

@@ -40,7 +40,7 @@ func poolFolds(t *testing.T, cfg Config, cells []Cell) map[int][]foldLog {
 // TestRunCellReduceMatchesPool: running cells one at a time through
 // RunCellReduce — on a single reused WorkerCtx, in reverse order —
 // reproduces the pool path's fold sequence exactly, including under a
-// stop rule and at every batch width. This is the primitive the
+// stop rule. This is the primitive the
 // campaign service's work-stealing coordinator is built on: any
 // partition of cells onto workers merges byte-identically.
 func TestRunCellReduceMatchesPool(t *testing.T) {
@@ -50,7 +50,6 @@ func TestRunCellReduceMatchesPool(t *testing.T) {
 		cfg  Config
 	}{
 		{"fixed-budget", Config{Seed: 42, Trials: 5, Parallelism: 2}},
-		{"batched", Config{Seed: 42, Trials: 5, Parallelism: 2, BatchSize: 3}},
 		{"adaptive", Config{Seed: 42, Parallelism: 2, Stop: StopRule{HalfWidth: 0.5, Min: 2, Max: 9}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,21 +127,35 @@ type obsCollector struct{ events []obs.Event }
 
 func (c *obsCollector) Observe(e obs.Event) { c.events = append(c.events, e) }
 
-// TestRunFaultCellReduceGuards: a plain cell fed to the fault entry
-// point errors instead of panicking.
+// TestRunFaultCellReduceGuards: a cell fed to the entry point of the
+// other cell kind errors instead of panicking — a plain cell on the
+// fault path, and an injected-only cell on the plain paths.
 func TestRunFaultCellReduceGuards(t *testing.T) {
 	t.Parallel()
+	cfg := Config{Seed: 1, Trials: 1, Parallelism: 1}
 	cells := syntheticCells(1, func(cell, trial int) int { return 1 })
-	err := RunFaultCellReduce(Config{Seed: 1, Trials: 1}, NewWorkerCtx(), &cells[0], 0,
+	err := RunFaultCellReduce(cfg, NewWorkerCtx(), &cells[0], 0,
 		func(cell, trial int, res *core.FaultResult) error { return nil })
 	if err == nil {
 		t.Fatal("RunFaultCellReduce accepted a cell without RunFaultOn")
 	}
+
+	faultOnly := []Cell{{
+		Key:        "fault-only",
+		RunFaultOn: func(*core.Runner, int, uint64, *core.FaultResult) error { return nil },
+	}}
+	noFold := func(cell, trial int, res *core.RunResult) error { return nil }
+	want := `cell "fault-only" has no RunOn`
+	if err := RunCellReduce(cfg, NewWorkerCtx(), &faultOnly[0], 0, noFold); err == nil || err.Error() != want {
+		t.Fatalf("RunCellReduce on a fault-only cell: err = %v, want %q", err, want)
+	}
+	if err := RunCellsReduce(cfg, faultOnly, noFold); err == nil || err.Error() != want {
+		t.Fatalf("RunCellsReduce on a fault-only cell: err = %v, want %q", err, want)
+	}
 }
 
 // TestRunCellReduceRealProtocol: the per-cell path agrees with the pool
-// on a real simulator cell (not just synthetic closures), across batch
-// widths.
+// on a real simulator cell (not just synthetic closures).
 func TestRunCellReduceRealProtocol(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Seed: 2009, Trials: 4, MaxSteps: 100_000, Parallelism: 2}
@@ -159,25 +172,21 @@ func TestRunCellReduceRealProtocol(t *testing.T) {
 	}
 	want := poolFolds(t, cfg, build())
 
-	for _, batch := range []int{1, 0, 3} {
-		bcfg := cfg
-		bcfg.BatchSize = batch
-		w := NewWorkerCtx()
-		got := make(map[int][]foldLog)
-		cells := build()
-		for i := range cells {
-			err := RunCellReduce(bcfg, w, &cells[i], i, func(cell, trial int, res *core.RunResult) error {
-				got[cell] = append(got[cell], foldLog{cell, trial, res.RoundsToSilence, 0})
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+	w := NewWorkerCtx()
+	got := make(map[int][]foldLog)
+	cells := build()
+	for i := range cells {
+		err := RunCellReduce(cfg, w, &cells[i], i, func(cell, trial int, res *core.RunResult) error {
+			got[cell] = append(got[cell], foldLog{cell, trial, res.RoundsToSilence, 0})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for cell, seq := range want {
-			if fmt.Sprint(got[cell]) != fmt.Sprint(seq) {
-				t.Fatalf("batch %d cell %d differs:\npool:     %v\nper-cell: %v", batch, cell, seq, got[cell])
-			}
+	}
+	for cell, seq := range want {
+		if fmt.Sprint(got[cell]) != fmt.Sprint(seq) {
+			t.Fatalf("cell %d differs:\npool:     %v\nper-cell: %v", cell, seq, got[cell])
 		}
 	}
 }

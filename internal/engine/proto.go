@@ -18,7 +18,7 @@ const DefaultSchedName = "random-subset"
 func DefaultSched(seed uint64) model.Scheduler { return sched.NewRandomSubset(seed) }
 
 // ProtoCell describes a (graph, protocol family, scheduler) cell for
-// RunProtoCells.
+// RunProtoCellsReduce.
 type ProtoCell struct {
 	Graph  *graph.Graph
 	Family string
@@ -63,36 +63,15 @@ func ProtoCells(cfg Config, specs []ProtoCell) ([]Cell, error) {
 					Events:       obs.Scope{Obs: cfg.Observer, Cell: cellIdx, Key: key, Trial: trial},
 				}, res)
 			},
-			RunBatchOn: func(br *core.BatchRunner, seeds []uint64, res []core.RunResult) error {
-				return br.RunRandomBatch(sys, core.BatchOptions{
-					SchedName:    schedName,
-					Sched:        mkSched,
-					MaxSteps:     cfg.MaxSteps,
-					CheckEvery:   1,
-					SuffixRounds: suffix,
-					Legitimate:   legit,
-				}, seeds, res)
-			},
 		}
 	}
 	return cells, nil
 }
 
-// RunProtoCells builds each cell's system once and fans all trials out
-// across the pool: the workhorse behind the per-graph loops of E1-E15.
-func RunProtoCells(cfg Config, specs []ProtoCell) ([][]*core.RunResult, error) {
-	cfg = cfg.WithDefaults()
-	cells, err := ProtoCells(cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	return RunCells(cfg, cells)
-}
-
-// RunProtoCellsReduce is the streaming form of RunProtoCells: every trial
-// result is folded (see RunCellsReduce for the ordering and concurrency
-// contract) instead of materialized, which is how the aggregate-only
-// experiments keep their memory independent of Trials.
+// RunProtoCellsReduce builds each cell's system once and folds every
+// trial result (see RunCellsReduce for the ordering and concurrency
+// contract): the workhorse behind the per-graph loops of E1-E15, whose
+// memory stays independent of Trials.
 func RunProtoCellsReduce(cfg Config, specs []ProtoCell, fold func(cell, trial int, res *core.RunResult) error) error {
 	cfg = cfg.WithDefaults()
 	cells, err := ProtoCells(cfg, specs)
@@ -102,30 +81,29 @@ func RunProtoCellsReduce(cfg Config, specs []ProtoCell, fold func(cell, trial in
 	return RunCellsReduce(cfg, cells, fold)
 }
 
-// SilentSnapshots obtains one legitimate silent configuration per spec
-// by running the standard adversarial trials of every proto cell —
-// batched into a single pool launch, so the warm-up convergence runs
-// execute concurrently — and returning each spec's first silent
-// legitimate final configuration. The trial seeds derive from the cell
-// keys alone, so every caller that starts from a snapshot of the same
-// (graph, family) sees the same configuration regardless of how the
-// warm-ups are batched.
+// SilentSnapshots obtains one legitimate silent configuration per spec:
+// it folds the standard adversarial trials of every proto cell and
+// clones the final configuration of the first trial, in trial order,
+// that ends silent and legitimate. The warm-ups of different specs run
+// concurrently on the pool. The trial seeds derive from the cell keys
+// alone, so every caller that starts from a snapshot of the same
+// (graph, family) sees the same configuration regardless of which specs
+// share the call.
 func SilentSnapshots(cfg Config, specs []ProtoCell) ([]*model.Config, error) {
 	// Warm-ups are infrastructure, not measured trials: they never emit
 	// events, so an observed campaign's log covers exactly its own cells.
 	cfg.Observer = nil
-	res, err := RunProtoCells(cfg, specs)
+	out := make([]*model.Config, len(specs))
+	err := RunProtoCellsReduce(cfg, specs, func(cell, _ int, res *core.RunResult) error {
+		if out[cell] == nil && res.Silent && res.LegitimateAtSilence {
+			out[cell] = res.Final.Clone()
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*model.Config, len(specs))
 	for i, sp := range specs {
-		for _, r := range res[i] {
-			if r.Silent && r.LegitimateAtSilence {
-				out[i] = r.Final
-				break
-			}
-		}
 		if out[i] == nil {
 			return nil, fmt.Errorf("engine: %s produced no legitimate silent run on %s", sp.Family, sp.Graph.Name())
 		}

@@ -142,8 +142,8 @@ func TestStopAdaptiveCountsPerCell(t *testing.T) {
 }
 
 // TestStopDisabledMatchesRunCells: with the rule disabled, the fold path
-// streams exactly the results RunCells materializes — same trials, same
-// seeds, same outcomes — on real protocol cells.
+// streams exactly the results a sequential fresh-Runner loop materializes
+// — same trials, same seeds, same outcomes — on real protocol cells.
 func TestStopDisabledMatchesRunCells(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Seed: 2009, Trials: 4, MaxSteps: 100_000, Parallelism: 2}
@@ -151,10 +151,11 @@ func TestStopDisabledMatchesRunCells(t *testing.T) {
 		{Graph: graph.Path(6), Family: FamColoring},
 		{Graph: graph.Cycle(5), Family: FamMIS},
 	}
-	grid, err := RunProtoCells(cfg, specs)
+	cells, err := ProtoCells(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	grid := referenceResults(t, cfg, cells)
 	type key struct{ cell, trial int }
 	var mu sync.Mutex
 	folded := map[key]core.RunResult{}

@@ -6,18 +6,20 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
-// legacyProtoCells rebuilds RunProtoCells' cells on the pre-Runner,
-// one-shot execution path: a fresh random configuration, scheduler,
-// recorder and simulator per trial via core.Run. The pooled engine must
-// reproduce its results exactly.
-func legacyProtoCells(t *testing.T, cfg Config, specs []ProtoCell) []Cell {
+// referenceResults computes every trial of specs on the pre-Runner,
+// one-shot execution path, sequentially: per trial a fresh random
+// configuration, scheduler, recorder and simulator via core.Run, with
+// the engine's canonical trial seeds. The pooled engine must reproduce
+// its results exactly.
+func referenceResults(t *testing.T, cfg Config, specs []engine.ProtoCell) [][]*core.RunResult {
 	t.Helper()
-	cells := make([]Cell, len(specs))
+	out := make([][]*core.RunResult, len(specs))
 	for i, sp := range specs {
 		sys, legit, err := protocolSystem(sp.Graph, sp.Family)
 		if err != nil {
@@ -27,30 +29,64 @@ func legacyProtoCells(t *testing.T, cfg Config, specs []ProtoCell) []Cell {
 		if mkSched == nil {
 			mkSched, schedName = defaultSched, defaultSchedName
 		}
-		suffix := sp.SuffixRounds
-		cells[i] = Cell{
-			Key: fmt.Sprintf("%s|%s|%s|%d", sp.Graph.Name(), sp.Family, schedName, suffix),
-			Run: func(trial int, seed uint64) (*core.RunResult, error) {
-				initial := model.NewRandomConfig(sys, rng.New(seed))
-				return core.Run(sys, initial, core.RunOptions{
-					Scheduler:    mkSched(seed),
-					Seed:         seed,
-					MaxSteps:     cfg.MaxSteps,
-					CheckEvery:   1,
-					SuffixRounds: suffix,
-					Legitimate:   legit,
-				})
-			},
+		key := fmt.Sprintf("%s|%s|%s|%d", sp.Graph.Name(), sp.Family, schedName, sp.SuffixRounds)
+		cellSeed := rng.DeriveString(cfg.Seed, key)
+		for trial := 0; trial < cfg.Trials; trial++ {
+			seed := rng.Derive(cellSeed, uint64(trial))
+			res, err := core.Run(sys, model.NewRandomConfig(sys, rng.New(seed)), core.RunOptions{
+				Scheduler:    mkSched(seed),
+				Seed:         seed,
+				MaxSteps:     cfg.MaxSteps,
+				CheckEvery:   1,
+				SuffixRounds: sp.SuffixRounds,
+				Legitimate:   legit,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = append(out[i], res)
 		}
 	}
-	return cells
+	return out
+}
+
+// reduceMatches folds specs through the pool at each parallelism and
+// checks every result against want, in trial order per cell.
+func reduceMatches(t *testing.T, cfg Config, specs []engine.ProtoCell, want [][]*core.RunResult) {
+	t.Helper()
+	for _, par := range []int{1, 4} {
+		cfg.Parallelism = par
+		lastTrial := make([]int, len(specs))
+		for i := range lastTrial {
+			lastTrial[i] = -1
+		}
+		err := engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, trial int, res *core.RunResult) error {
+			if trial != lastTrial[cell]+1 {
+				return fmt.Errorf("cell %d: fold at trial %d after trial %d (want in-order)", cell, trial, lastTrial[cell])
+			}
+			lastTrial[cell] = trial
+			if !reflect.DeepEqual(*want[cell][trial], *res) {
+				return fmt.Errorf("cell %d (%s) trial %d differs:\nreference %+v\npooled    %+v",
+					cell, specs[cell].Family, trial, *want[cell][trial], *res)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		for i, last := range lastTrial {
+			if last != cfg.Trials-1 {
+				t.Fatalf("parallelism %d: cell %d folded %d trials, want %d", par, i, last+1, cfg.Trials)
+			}
+		}
+	}
 }
 
 // TestPooledMatchesUnpooled is the engine's correctness contract at the
 // result level: the worker-affine Runner path (reused recorders,
-// simulators, schedulers, configuration buffers) produces run results
-// deep-equal to the one-shot path, trial by trial, across schedulers and
-// parallelism levels.
+// simulators, schedulers, configuration and result buffers) produces
+// run results deep-equal to the one-shot path, trial by trial, across
+// schedulers and parallelism levels.
 func TestPooledMatchesUnpooled(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Seed: 11, Trials: 4, MaxSteps: 400000, Quick: true}
@@ -58,40 +94,22 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var specs []ProtoCell
+	var specs []engine.ProtoCell
 	for _, g := range graphs {
 		specs = append(specs,
-			ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2},
-			ProtoCell{Graph: g, Family: FamMIS},
-			ProtoCell{Graph: g, Family: FamMatching,
+			engine.ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2},
+			engine.ProtoCell{Graph: g, Family: FamMIS},
+			engine.ProtoCell{Graph: g, Family: FamMatching,
 				Sched:     func(uint64) model.Scheduler { return sched.NewLaziestFair() },
 				SchedName: "laziest-fair"},
 		)
 	}
-	cfg.Parallelism = 1
-	want, err := RunCells(cfg, legacyProtoCells(t, cfg, specs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{1, 4} {
-		cfg.Parallelism = par
-		got, err := RunProtoCells(cfg, specs)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		for ci := range want {
-			for ti := range want[ci] {
-				if !reflect.DeepEqual(want[ci][ti], got[ci][ti]) {
-					t.Fatalf("parallelism %d: cell %d (%s) trial %d differs:\nunpooled %+v\npooled   %+v",
-						par, ci, specs[ci].Family, ti, want[ci][ti], got[ci][ti])
-				}
-			}
-		}
-	}
+	reduceMatches(t, cfg, specs, referenceResults(t, cfg, specs))
 }
 
 // TestReduceMatchesMaterialized: the streaming path folds exactly the
-// materialized path's results, in trial order per cell.
+// results a sequential fresh-Runner loop materializes, in trial order
+// per cell, with suffix recording on.
 func TestReduceMatchesMaterialized(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Seed: 23, Trials: 3, MaxSteps: 400000, Quick: true}
@@ -99,127 +117,11 @@ func TestReduceMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var specs []ProtoCell
+	var specs []engine.ProtoCell
 	for _, g := range graphs {
-		specs = append(specs, ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2})
+		specs = append(specs, engine.ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2})
 	}
-	cfg.Parallelism = 1
-	want, err := RunProtoCells(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{1, 4} {
-		cfg.Parallelism = par
-		lastTrial := make([]int, len(specs))
-		for i := range lastTrial {
-			lastTrial[i] = -1
-		}
-		seen := make([]int, len(specs))
-		err := RunProtoCellsReduce(cfg, specs, func(cell, trial int, res *core.RunResult) error {
-			if trial != lastTrial[cell]+1 {
-				return fmt.Errorf("cell %d: fold at trial %d after trial %d (want in-order)", cell, trial, lastTrial[cell])
-			}
-			lastTrial[cell] = trial
-			seen[cell]++
-			if !reflect.DeepEqual(*want[cell][trial], *res) {
-				return fmt.Errorf("cell %d trial %d: streamed result differs from materialized", cell, trial)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		for i, n := range seen {
-			if n != cfg.Trials {
-				t.Fatalf("parallelism %d: cell %d folded %d trials, want %d", par, i, n, cfg.Trials)
-			}
-		}
-	}
-}
-
-// TestReduceBatchWidths is the lockstep-batching equivalence contract:
-// for every batch width — off (1), ragged (3 against 4 trials), a full
-// word (64) and a word boundary crossing (65) — and every parallelism,
-// the streaming fold path produces results deep-equal to the unbatched
-// materialized path, trial by trial and in trial order.
-func TestReduceBatchWidths(t *testing.T) {
-	t.Parallel()
-	cfg := Config{Seed: 31, Trials: 4, MaxSteps: 400000, Quick: true}
-	graphs, err := suite(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var specs []ProtoCell
-	for _, g := range graphs {
-		specs = append(specs,
-			ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2},
-			ProtoCell{Graph: g, Family: FamMatching},
-		)
-	}
-	cfg.Parallelism = 1
-	cfg.Batch = 1
-	want, err := RunProtoCells(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 3, 64, 65} {
-		for _, par := range []int{1, 4} {
-			cfg.Batch = batch
-			cfg.Parallelism = par
-			lastTrial := make([]int, len(specs))
-			for i := range lastTrial {
-				lastTrial[i] = -1
-			}
-			err := RunProtoCellsReduce(cfg, specs, func(cell, trial int, res *core.RunResult) error {
-				if trial != lastTrial[cell]+1 {
-					return fmt.Errorf("cell %d: fold at trial %d after trial %d (want in-order)", cell, trial, lastTrial[cell])
-				}
-				lastTrial[cell] = trial
-				if !reflect.DeepEqual(*want[cell][trial], *res) {
-					return fmt.Errorf("cell %d trial %d: batched result differs from unbatched", cell, trial)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("batch %d parallelism %d: %v", batch, par, err)
-			}
-			for i, last := range lastTrial {
-				if last != cfg.Trials-1 {
-					t.Fatalf("batch %d parallelism %d: cell %d folded %d trials, want %d", batch, par, i, last+1, cfg.Trials)
-				}
-			}
-		}
-	}
-}
-
-// TestRegistryTablesAcrossBatchWidths: the registry's rendered tables
-// are byte-identical whether the fold paths run unbatched, at the auto
-// width or at a width far beyond the trial budget — including the
-// faulted experiments, whose cells have no batched form and must be
-// bit-for-bit indifferent to the knob. E12 (wall-clock) and E22
-// (wall-clock and heap measurements) are excluded by design.
-func TestRegistryTablesAcrossBatchWidths(t *testing.T) {
-	t.Parallel()
-	if testing.Short() {
-		t.Skip("full registry sweep is a long test")
-	}
-	for _, e := range Registry() {
-		if e.ID == "E12" || e.ID == "E22" {
-			continue
-		}
-		var tables []string
-		for _, batch := range []int{1, 0, 65} {
-			cfg := Config{Seed: 2009, Trials: 3, MaxSteps: 400000, Quick: true, Parallelism: 2, Batch: batch}
-			res, err := e.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s batch %d: %v", e.ID, batch, err)
-			}
-			tables = append(tables, res.Table.String())
-		}
-		if tables[0] != tables[1] || tables[0] != tables[2] {
-			t.Fatalf("%s: tables differ across batch widths 1/auto/65", e.ID)
-		}
-	}
+	reduceMatches(t, cfg, specs, referenceResults(t, cfg, specs))
 }
 
 // TestRegistryTablesAcrossSeedsAndParallelism is the acceptance-level

@@ -9,7 +9,7 @@
 // directive): edge rewiring, partition-shaped cuts and crash/join churn
 // on mutable graphs, alone and composed with state faults.
 //
-// Trials run on a parallel sharded worker pool (see pool.go). The engine
+// Trials run on the parallel sharded worker pool of internal/engine. The engine
 // is deterministic: per-trial seeds are derived from (Config.Seed, cell
 // key, trial index) alone, never from scheduling order, so for a fixed
 // Seed every pool-driven experiment table is byte-identical across
@@ -49,10 +49,18 @@ type Config struct {
 	// Observer receives the structured run events of every experiment's
 	// trial loops (nil: none; see internal/obs).
 	Observer obs.Observer
-	// Batch is the lockstep trial batch width of the fold-path cells
-	// (engine.Config.BatchSize): 0 picks the auto width, 1 disables
-	// batching. Tables are byte-identical at every width.
-	Batch int
+}
+
+// engineConfig projects the experiment configuration onto the trial
+// engine's (Quick only affects the graph suite, not the engine).
+func (c Config) engineConfig() engine.Config {
+	return engine.Config{
+		Seed:        c.Seed,
+		Trials:      c.Trials,
+		MaxSteps:    c.MaxSteps,
+		Parallelism: c.Parallelism,
+		Observer:    c.Observer,
+	}
 }
 
 func (c Config) withDefaults() Config {

@@ -9,13 +9,14 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // TestPoolDeterminismAcrossParallelism is the engine's headline
 // guarantee: for a fixed seed the rendered experiment tables are
 // byte-identical for every Parallelism value. E1 exercises
-// RunProtoCells, E5 the multi-scheduler grid, E15 custom RunCells
-// closures and E7 the demo fan-out.
+// RunProtoCellsReduce, E5 the multi-scheduler grid, E15 injected-trial
+// cells on RunFaultCellsReduce and E7 the demo fan-out.
 func TestPoolDeterminismAcrossParallelism(t *testing.T) {
 	t.Parallel()
 	runners := []struct {
@@ -62,22 +63,22 @@ func TestRunCellsSeedsPositionIndependent(t *testing.T) {
 	collect := func(parallelism int) [][]uint64 {
 		seeds := make([][]uint64, 3)
 		var mu sync.Mutex
-		cells := make([]Cell, 3)
+		cells := make([]engine.Cell, 3)
 		for i := range cells {
 			i := i
 			seeds[i] = make([]uint64, 5)
-			cells[i] = Cell{
+			cells[i] = engine.Cell{
 				Key: fmt.Sprintf("cell-%d", i),
-				Run: func(trial int, seed uint64) (*core.RunResult, error) {
+				RunOn: func(_ *core.Runner, trial int, seed uint64, _ *core.RunResult) error {
 					mu.Lock()
 					seeds[i][trial] = seed
 					mu.Unlock()
-					return &core.RunResult{}, nil
+					return nil
 				},
 			}
 		}
-		cfg := Config{Seed: 99, Trials: 5, Parallelism: parallelism}
-		if _, err := RunCells(cfg, cells); err != nil {
+		cfg := engine.Config{Seed: 99, Trials: 5, Parallelism: parallelism}
+		if err := engine.RunCellsReduce(cfg, cells, func(int, int, *core.RunResult) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		return seeds
@@ -106,77 +107,43 @@ func TestRunCellsSeedsPositionIndependent(t *testing.T) {
 	}
 }
 
+// TestRunCellsErrorPropagation: a failing trial ends the run with an
+// error that wraps the trial's and names the cell and trial. The
+// sequential pool stops at the failing job, so later trials and cells
+// never run, and of two failing cells the lower index is reported.
 func TestRunCellsErrorPropagation(t *testing.T) {
 	t.Parallel()
 	boom := errors.New("boom")
 	var executed atomic.Int64
-	mk := func(key string, failAt int) Cell {
-		return Cell{
+	mk := func(key string, failAt int) engine.Cell {
+		return engine.Cell{
 			Key: key,
-			Run: func(trial int, seed uint64) (*core.RunResult, error) {
+			RunOn: func(_ *core.Runner, trial int, _ uint64, _ *core.RunResult) error {
 				executed.Add(1)
 				if trial == failAt {
-					return nil, boom
+					return boom
 				}
-				return &core.RunResult{}, nil
+				return nil
 			},
 		}
 	}
-	// Sequential: the scan stops at the failing job, and the error names
-	// the cell and trial.
-	cells := []Cell{mk("ok", -1), mk("bad", 1), mk("never", -1)}
-	cfg := Config{Seed: 1, Trials: 3, Parallelism: 1}
-	out, err := RunCells(cfg, cells)
+	cells := []engine.Cell{mk("ok", -1), mk("bad", 1), mk("also-bad", 0), mk("never", -1)}
+	cfg := engine.Config{Seed: 1, Trials: 3, Parallelism: 1}
+	folded := 0
+	err := engine.RunCellsReduce(cfg, cells, func(int, int, *core.RunResult) error {
+		folded++
+		return nil
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 	if !strings.Contains(err.Error(), `cell "bad" trial 1`) {
 		t.Fatalf("err %q does not locate the failing cell/trial", err)
 	}
-	if out != nil {
-		t.Fatal("results returned alongside an error")
-	}
 	if got := executed.Load(); got != 5 { // 3 ok trials + bad trials 0 and 1
-		t.Fatalf("sequential pool executed %d jobs, want 5", got)
+		t.Fatalf("sequential pool executed %d trials, want 5", got)
 	}
-}
-
-// TestForEachCancellation checks that after a failure the pool stops
-// picking up new jobs: every pending job waits for the failure before
-// returning, so only the in-flight window executes.
-func TestForEachCancellation(t *testing.T) {
-	t.Parallel()
-	const n = 100
-	failed := make(chan struct{})
-	var executed atomic.Int64
-	err := forEach(8, n, func(i int) error {
-		executed.Add(1)
-		if i == 0 {
-			close(failed)
-			return fmt.Errorf("job 0 failed")
-		}
-		<-failed
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "job 0 failed") {
-		t.Fatalf("err = %v, want job 0 failure", err)
-	}
-	if got := executed.Load(); got >= n/2 {
-		t.Fatalf("pool executed %d of %d jobs after a failure", got, n)
-	}
-}
-
-// TestForEachLowestErrorWins: when several jobs fail, the reported error
-// is the one with the lowest job index among those observed.
-func TestForEachLowestErrorWins(t *testing.T) {
-	t.Parallel()
-	err := forEach(1, 10, func(i int) error {
-		if i >= 3 {
-			return fmt.Errorf("err-%d", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "err-3" {
-		t.Fatalf("err = %v, want err-3", err)
+	if folded != 4 { // the failing trial is never folded
+		t.Fatalf("folded %d trials, want 4", folded)
 	}
 }
