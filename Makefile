@@ -164,8 +164,8 @@ scale-smoke: ## 10⁶-node torus cell to silence under the peak-RSS budget
 # streaming form, download the served JSONL and canonical event log and
 # byte-compare both against a CLI sscampaign run, then re-POST (100%
 # cache hits, identical bytes) and SIGTERM-drain. The scripted flow
-# lives in scripts/service_smoke.sh; internal/service's tests prove the
-# same contract in-process with adversarial steal schedules.
+# lives in scripts/service_smoke.sh and runs at -workers 1 and 4;
+# internal/service's tests prove the same contract in-process.
 SERVICE_SMOKE_DIR ?= /tmp/service-smoke
 service-smoke: ## Campaign daemon end to end: serve = CLI bytes, warm re-POST, clean drain
 	bash scripts/service_smoke.sh $(SERVICE_SMOKE_DIR)

@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -81,10 +82,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	// Fail an unwritable cache directory now, before any trial burns —
 	// not per-cell at store time.
+	var cache campaign.Backend
 	if *cacheDir != "" {
-		if err := campaign.NewDirBackend(*cacheDir).Probe(); err != nil {
+		be := campaign.NewDirBackend(*cacheDir)
+		if err := be.Probe(); err != nil {
 			return err
 		}
+		cache = be
 	}
 	if *csvOut && *jsonlPath == "-" {
 		return fmt.Errorf("-csv and -jsonl - both claim stdout: write the JSONL to a file instead")
@@ -117,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	out, err := plan.Run(campaign.RunOptions{Shard: shard, Shards: shards, CacheDir: *cacheDir, Observer: observer})
+	out, err := plan.Run(context.Background(), campaign.RunOptions{Shard: shard, Shards: shards, Cache: cache, Observer: observer})
 	if err != nil {
 		return err
 	}

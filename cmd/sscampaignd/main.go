@@ -1,6 +1,6 @@
 // Command sscampaignd is the campaign service daemon: a long-running
-// HTTP server that accepts POSTed .campaign specs, executes them on a
-// work-stealing in-process worker pool against a shared
+// HTTP server that accepts POSTed .campaign specs, executes them on the
+// campaign executor's in-process worker pool against a shared
 // content-addressed result cache, streams per-trial progress as JSONL,
 // and serves the finished run's records, tables and canonical event
 // log (see internal/service for the API and the determinism contract:
@@ -36,6 +36,11 @@ import (
 	"repro/internal/service"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle or slow connections cannot pin server goroutines.
+// There is no write timeout: /stream responses last as long as a run.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -54,7 +59,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8377", "listen address (\":0\" picks a free port, logged on stderr)")
 		cacheDir = fs.String("cache", "", "content-addressed result cache directory (empty: in-memory, lost on exit)")
-		workers  = fs.Int("workers", 0, "work-stealing workers per run (0: GOMAXPROCS; served bytes are identical for every value)")
+		workers  = fs.Int("workers", 0, "pool workers per run (0: GOMAXPROCS; served bytes are identical for every value)")
 		queue    = fs.Int("queue", 16, "submitted-but-not-started run backlog bound")
 		drain    = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget: in-flight cells finish and persist within this window")
 	)
@@ -88,7 +93,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

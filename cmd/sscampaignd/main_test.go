@@ -93,7 +93,7 @@ func cliJSONL(t *testing.T, src string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Run(campaign.RunOptions{})
+	out, err := plan.Run(context.Background(), campaign.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

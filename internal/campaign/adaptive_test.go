@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,7 +81,7 @@ func TestRunAdaptiveRealizedCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := plan.Run(RunOptions{})
+		out, err := plan.Run(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestTableCIDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Run(RunOptions{})
+	out, err := plan.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +146,14 @@ func TestAdaptiveCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := plan.Run(RunOptions{CacheDir: dir})
+	cold, err := plan.Run(context.Background(), RunOptions{Cache: NewDirBackend(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.CacheHits != 0 || cold.CacheMisses != len(plan.Cells) {
 		t.Fatalf("cold run: %d hits, %d misses", cold.CacheHits, cold.CacheMisses)
 	}
-	warm, err := plan.Run(RunOptions{CacheDir: dir})
+	warm, err := plan.Run(context.Background(), RunOptions{Cache: NewDirBackend(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestAdaptiveCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := fixedPlan.Run(RunOptions{CacheDir: dir})
+	fixed, err := fixedPlan.Run(context.Background(), RunOptions{Cache: NewDirBackend(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +193,14 @@ func TestAdaptiveCacheRoundTrip(t *testing.T) {
 
 // canonicalLog runs the plan with a fresh ReplaySink and returns the
 // flushed canonical event log.
-func canonicalLog(t *testing.T, src string, par int, cacheDir string) []byte {
+func canonicalLog(t *testing.T, src string, par int, cache Backend) []byte {
 	t.Helper()
 	plan, err := Compile(mustParse(t, src), par)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := obs.NewReplaySink()
-	if _, err := plan.Run(RunOptions{CacheDir: cacheDir, Observer: sink}); err != nil {
+	if _, err := plan.Run(context.Background(), RunOptions{Cache: cache, Observer: sink}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -220,9 +221,9 @@ func TestEventLogDeterminism(t *testing.T) {
 	t.Parallel()
 	const src = "campaign ev\nseed 2009\ntrials 2\nmax-steps 100000\n" +
 		"graph path 5\ngraph cycle 6\nprotocol coloring mis\nmetrics silent rounds\n"
-	dir := t.TempDir()
+	dir := NewDirBackend(t.TempDir())
 	cold := canonicalLog(t, src, 1, dir)
-	uncached := canonicalLog(t, src, 4, "")
+	uncached := canonicalLog(t, src, 4, nil)
 	warm := canonicalLog(t, src, 4, dir)
 	if !bytes.Equal(cold, uncached) {
 		t.Fatalf("event log differs between parallelism 1 and 4:\n--- p1 cold\n%s--- p4 no cache\n%s", cold, uncached)
@@ -232,7 +233,7 @@ func TestEventLogDeterminism(t *testing.T) {
 	}
 	// Adaptive campaigns share the contract: realized counts replay from
 	// the cache with the engine's exact trial seeds.
-	adir := t.TempDir()
+	adir := NewDirBackend(t.TempDir())
 	acold := canonicalLog(t, adaptiveSrc, 4, adir)
 	awarm := canonicalLog(t, adaptiveSrc, 1, adir)
 	if !bytes.Equal(acold, awarm) {

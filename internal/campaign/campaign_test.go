@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -226,7 +227,7 @@ func TestRunRecordsAndJSONL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Run(RunOptions{})
+	out, err := plan.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestFrozenFamilyObservesIllegitimateSilence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Run(RunOptions{})
+	out, err := plan.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

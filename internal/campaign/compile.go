@@ -127,14 +127,6 @@ func (p *Plan) EngineCells() ([]engine.Cell, error) {
 	return p.cells, nil
 }
 
-// Materialize prepares the given cells (indices into p.Cells) for
-// execution: snapshot warm-ups, then system construction and run
-// closures. Not safe for concurrent use — callers that execute cells
-// on their own workers (the campaign service's work-stealing
-// coordinator) must materialize every cell they will run before
-// launching those workers, exactly as Run does for its own pool.
-func (p *Plan) Materialize(cells []int) error { return p.materialize(cells) }
-
 // materialize prepares the given cells (indices into p.Cells) for
 // execution: snapshot warm-ups, then system construction and run
 // closures. Not safe for concurrent use (call before launching the
@@ -429,9 +421,8 @@ func (p *Plan) ensureEngineCells(cells []int) error {
 			}
 			return sc
 		}
-		// Core-level diagnostics carry the cell's absolute campaign index
-		// (engine-emitted lifecycle events of a sub-sliced run are
-		// remapped separately; see Plan.Run). The observer is read at
+		// Core-level diagnostics carry the cell's absolute campaign index,
+		// as the engine's lifecycle events do. The observer is read at
 		// trial time through p, after SetObserver/Run has bound it.
 		cellIdx, cellKey := cs.Index, cs.Key
 		if !p.Faulted {

@@ -1,10 +1,15 @@
 package campaign
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // The determinism suite pins the campaign executor's three output
@@ -37,7 +42,7 @@ func renderJSONL(t *testing.T, src string, parallelism int, opts RunOptions) (st
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Run(opts)
+	out, err := plan.Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +98,12 @@ func TestDeterminismAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Run(RunOptions{Shard: 2, Shards: 2}); err == nil {
+	if _, err := plan.Run(context.Background(), RunOptions{Shard: 2, Shards: 2}); err == nil {
 		t.Fatal("shard 2/2 accepted")
 	}
 	// Astronomical shard counts must error cleanly, never overflow into
 	// a negative owned range (makeslice panic).
-	if _, err := plan.Run(RunOptions{Shard: 1<<30 - 2, Shards: 1 << 30}); err == nil {
+	if _, err := plan.Run(context.Background(), RunOptions{Shard: 1<<30 - 2, Shards: 1 << 30}); err == nil {
 		t.Fatal("oversized shard count accepted")
 	}
 }
@@ -106,11 +111,11 @@ func TestDeterminismAcrossShards(t *testing.T) {
 func TestDeterminismAcrossCacheResume(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	cold, outCold := renderJSONL(t, testCampaignSrc, 4, RunOptions{CacheDir: dir})
+	cold, outCold := renderJSONL(t, testCampaignSrc, 4, RunOptions{Cache: NewDirBackend(dir)})
 	if outCold.CacheHits != 0 || outCold.CacheMisses != len(outCold.Plan.Cells) {
 		t.Fatalf("cold run: hits=%d misses=%d", outCold.CacheHits, outCold.CacheMisses)
 	}
-	warm, outWarm := renderJSONL(t, testCampaignSrc, 4, RunOptions{CacheDir: dir})
+	warm, outWarm := renderJSONL(t, testCampaignSrc, 4, RunOptions{Cache: NewDirBackend(dir)})
 	if outWarm.CacheHits != len(outWarm.Plan.Cells) || outWarm.CacheMisses != 0 {
 		t.Fatalf("warm run: hits=%d misses=%d", outWarm.CacheHits, outWarm.CacheMisses)
 	}
@@ -127,13 +132,84 @@ func TestDeterminismAcrossCacheResume(t *testing.T) {
 	}
 }
 
+// TestRunDrainAndResume is the graceful-shutdown contract of the
+// executor: canceling ctx lets the in-flight cell finish and persist,
+// no further cell starts, Run reports ErrDrained, and a fresh plan over
+// the same backend resumes to the uncached run's bytes.
+func TestRunDrainAndResume(t *testing.T) {
+	t.Parallel()
+	wantJSONL, _ := renderJSONL(t, testCampaignSrc, 1, RunOptions{})
+	wantEvents := canonicalLog(t, testCampaignSrc, 1, nil)
+	cache := NewMemBackend()
+
+	// Block the single worker inside its second cell-start event, then
+	// cancel: the worker must finish and store that cell, and exit
+	// without starting a third.
+	plan, err := Compile(mustParse(t, testCampaignSrc), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	gate := &cellGate{trigger: 2, hit: make(chan struct{}), release: make(chan struct{})}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := plan.Run(ctx, RunOptions{Cache: cache, Observer: gate})
+		errc <- err
+	}()
+	<-gate.hit
+	cancel()
+	close(gate.release)
+	if err := <-errc; !errors.Is(err, ErrDrained) {
+		t.Fatalf("drained Run returned %v, want ErrDrained", err)
+	}
+	if entries, _, err := cache.Stats(); err != nil || entries != 2 {
+		t.Fatalf("cache holds %d cells after drain (err %v), want 2", entries, err)
+	}
+
+	// Resume at another parallelism: the two drained cells are hits and
+	// the output is the uncached run's, JSONL and event log alike.
+	sink := obs.NewReplaySink()
+	resumed, out := renderJSONL(t, testCampaignSrc, 4, RunOptions{Cache: cache, Observer: sink})
+	var events bytes.Buffer
+	if err := sink.WriteCanonical(&events); err != nil {
+		t.Fatal(err)
+	}
+	if resumed != wantJSONL || !bytes.Equal(events.Bytes(), wantEvents) {
+		t.Fatal("resumed run differs from the uncached run")
+	}
+	if out.CacheHits != 2 || out.CacheMisses != len(out.Plan.Cells)-2 {
+		t.Fatalf("resume: %d hits, %d misses, want 2 and %d", out.CacheHits, out.CacheMisses, len(out.Plan.Cells)-2)
+	}
+}
+
+// cellGate signals on the trigger-th cell-start and blocks that worker
+// until released.
+type cellGate struct {
+	trigger int
+	hit     chan struct{}
+	release chan struct{}
+	count   int
+}
+
+func (g *cellGate) Observe(e obs.Event) {
+	if e.Kind != obs.KindCellStart {
+		return
+	}
+	// Single worker: Observe runs on one goroutine, no locking needed.
+	g.count++
+	if g.count == g.trigger {
+		close(g.hit)
+		<-g.release
+	}
+}
+
 func TestCacheResumesInterruptedAndGrownCampaigns(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	// "Interrupted" run: shard 0/2 completes, the rest never ran.
-	_, shard0 := renderJSONL(t, testCampaignSrc, 2, RunOptions{Shard: 0, Shards: 2, CacheDir: dir})
+	_, shard0 := renderJSONL(t, testCampaignSrc, 2, RunOptions{Shard: 0, Shards: 2, Cache: NewDirBackend(dir)})
 	// Resume as an unsharded run: only the missing cells recompute.
-	_, resumed := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir})
+	_, resumed := renderJSONL(t, testCampaignSrc, 2, RunOptions{Cache: NewDirBackend(dir)})
 	if resumed.CacheHits != len(shard0.Results) ||
 		resumed.CacheMisses != len(resumed.Plan.Cells)-len(shard0.Results) {
 		t.Fatalf("resume: hits=%d misses=%d (shard0 owned %d of %d)",
@@ -142,7 +218,7 @@ func TestCacheResumesInterruptedAndGrownCampaigns(t *testing.T) {
 	// Widened sweep: adding a fault size reuses every already-computed
 	// cell and computes only the new ones.
 	grown := strings.Replace(testCampaignSrc, "k=1", "k=1,2", 1)
-	_, g := renderJSONL(t, grown, 2, RunOptions{CacheDir: dir})
+	_, g := renderJSONL(t, grown, 2, RunOptions{Cache: NewDirBackend(dir)})
 	if g.CacheHits != len(resumed.Plan.Cells) || g.CacheMisses != len(g.Plan.Cells)-len(resumed.Plan.Cells) {
 		t.Fatalf("grown sweep: hits=%d misses=%d (had %d, now %d cells)",
 			g.CacheHits, g.CacheMisses, len(resumed.Plan.Cells), len(g.Plan.Cells))
@@ -158,7 +234,7 @@ func TestWarmCacheSkipsSnapshotWarmups(t *testing.T) {
 	t.Parallel()
 	src := "campaign snap\ntrials 2\nmax-steps 100000\ngraph path 6\nprotocol coloring\nadversary uniform k=1 inject=at-start\n"
 	dir := t.TempDir()
-	cold, _ := renderJSONL(t, src, 2, RunOptions{CacheDir: dir})
+	cold, _ := renderJSONL(t, src, 2, RunOptions{Cache: NewDirBackend(dir)})
 
 	spec := mustParse(t, src)
 	plan, err := Compile(spec, 2)
@@ -168,7 +244,7 @@ func TestWarmCacheSkipsSnapshotWarmups(t *testing.T) {
 	if plan.Cells[0].snapshot != nil {
 		t.Fatal("Compile eagerly computed a snapshot")
 	}
-	out, err := plan.Run(RunOptions{CacheDir: dir})
+	out, err := plan.Run(context.Background(), RunOptions{Cache: NewDirBackend(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +269,11 @@ func TestWarmCacheSkipsSnapshotWarmups(t *testing.T) {
 func TestCacheFingerprintInvalidation(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	_, first := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir})
+	_, first := renderJSONL(t, testCampaignSrc, 2, RunOptions{Cache: NewDirBackend(dir)})
 	// A different seed must miss everywhere (same keys, different
 	// fingerprints) — never serve another campaign's results.
 	reseeded := strings.Replace(testCampaignSrc, "seed 2009", "seed 2010", 1)
-	_, second := renderJSONL(t, reseeded, 2, RunOptions{CacheDir: dir})
+	_, second := renderJSONL(t, reseeded, 2, RunOptions{Cache: NewDirBackend(dir)})
 	if second.CacheHits != 0 || second.CacheMisses != len(second.Plan.Cells) {
 		t.Fatalf("reseeded run: hits=%d misses=%d", second.CacheHits, second.CacheMisses)
 	}
@@ -211,7 +287,7 @@ func TestCacheFingerprintInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, third := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir})
+	_, third := renderJSONL(t, testCampaignSrc, 2, RunOptions{Cache: NewDirBackend(dir)})
 	if third.CacheHits != 0 || third.CacheMisses != len(third.Plan.Cells) {
 		t.Fatalf("corrupted entries did not degrade to misses: hits=%d misses=%d", third.CacheHits, third.CacheMisses)
 	}

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -8,6 +10,12 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
+
+// ErrDrained reports a run whose context was canceled before every
+// owned cell completed. Cells finished before the drain are already
+// stored in the cache backend, so re-running the campaign over the same
+// backend resumes from them and produces byte-identical final output.
+var ErrDrained = errors.New("campaign: run drained before completion")
 
 // RunOptions configures one execution of a compiled plan.
 type RunOptions struct {
@@ -18,15 +26,12 @@ type RunOptions struct {
 	// shards compute disjoint cells, and concatenating their outputs in
 	// shard order reproduces the unsharded output byte for byte.
 	Shard, Shards int
-	// CacheDir enables the content-addressed result cache on a local
-	// directory: completed cells persist as one file per cell
-	// fingerprint, and a re-run (or a grown campaign sharing cells)
-	// recomputes only what is missing. Empty disables caching (unless
-	// Cache is set).
-	CacheDir string
-	// Cache, when non-nil, is the cache backend to use and takes
-	// precedence over CacheDir. The campaign service injects shared
-	// (cross-run) backends here; plain CLI runs use CacheDir.
+	// Cache enables the content-addressed result cache (nil: disabled):
+	// each computed cell is stored under its fingerprint as soon as it
+	// completes, and a re-run (or a grown campaign sharing cells, or a
+	// drained run resumed) recomputes only what is missing. The CLI
+	// passes a DirBackend; the campaign service a shared cross-run
+	// backend.
 	Cache Backend
 	// Observer receives the run's structured events (nil: none). Cells
 	// served from the cache replay their canonical lifecycle events from
@@ -58,18 +63,6 @@ type Outcome struct {
 	CacheHits, CacheMisses int
 }
 
-// backend resolves the cache backend the options select: Cache wins,
-// then a DirBackend over CacheDir, then nil (caching disabled).
-func (o *RunOptions) backend() Backend {
-	if o.Cache != nil {
-		return o.Cache
-	}
-	if o.CacheDir != "" {
-		return NewDirBackend(o.CacheDir)
-	}
-	return nil
-}
-
 // recordBounds returns the record-count bounds a cache entry must
 // satisfy: a fixed budget is exact, an adaptive cell's realized count
 // lands anywhere in the stop rule's bounds (the count itself
@@ -81,32 +74,26 @@ func (p *Plan) recordBounds() (minRecs, maxRecs int) {
 	return p.cfg.Trials, p.cfg.Trials
 }
 
-// LookupCached consults the backend for cell i's records. It returns
-// (records, nil) on a hit, (nil, nil) on a clean miss (absent or stale
-// entry), and (nil, err) when the entry exists but is unreadable or
-// undecodable — the caller treats that as a miss and surfaces the
-// corruption as an obs.KindCacheCorrupt diagnostic.
-func (p *Plan) LookupCached(be Backend, i int) ([]TrialRecord, error) {
-	minRecs, maxRecs := p.recordBounds()
-	return loadCache(be, p.cellFingerprint(&p.Cells[i]), minRecs, maxRecs)
-}
-
-// StoreCell persists cell i's computed records in the backend.
-func (p *Plan) StoreCell(be Backend, i int, records []TrialRecord) error {
-	return storeCache(be, p.cellFingerprint(&p.Cells[i]), records)
-}
-
-// Run executes the plan's owned shard on the engine pool, consulting
-// the cache first when enabled. Records are deterministic: for a fixed
-// campaign file the bytes of every record are identical across
+// Run executes the plan's owned shard: it is the one campaign executor,
+// behind both the CLI and the campaign service. A sequential cache pass
+// serves the cells already known; the engine pool computes the rest at
+// the plan's Parallelism, each worker storing its cell in the cache the
+// moment the cell completes.
+// Records are deterministic: for a fixed campaign file the bytes of
+// every record, and the canonical event stream, are identical across
 // parallelism, sharding and cache state.
-func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
+//
+// Canceling ctx drains the run: no worker claims another cell, cells in
+// flight finish and are stored, and Run returns ErrDrained if owned
+// cells were left. A cancel that lands after the last cell was claimed
+// is not a drain: the output is whole.
+func (p *Plan) Run(ctx context.Context, opts RunOptions) (*Outcome, error) {
 	lo, hi, err := shardRange(len(p.Cells), opts.Shard, opts.Shards)
 	if err != nil {
 		return nil, err
 	}
 	p.SetObserver(opts.Observer)
-	be := opts.backend()
+	be := opts.Cache
 	out := &Outcome{Plan: p, Results: make([]CellResult, hi-lo)}
 	obs.Emit(opts.Observer, obs.Event{
 		Kind: obs.KindCampaignStart, Cell: -1, Key: p.Spec.Name, Trial: -1, Count: hi - lo,
@@ -115,80 +102,67 @@ func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
 	// Cache pass: fill what's already known, collect the rest. Hits
 	// replay their canonical events so observers see the full campaign
 	// regardless of cache state.
-	var missing []int // owned-relative indices
-	for i := range out.Results {
-		cs := &p.Cells[lo+i]
-		out.Results[i].Cell = cs
+	minRecs, maxRecs := p.recordBounds()
+	var missing []int // absolute cell indices
+	for i := lo; i < hi; i++ {
+		cs := &p.Cells[i]
+		r := &out.Results[i-lo]
+		r.Cell = cs
 		if be != nil {
-			recs, err := p.LookupCached(be, lo+i)
+			recs, err := loadCache(be, p.cellFingerprint(cs), minRecs, maxRecs)
 			if err != nil {
-				obs.Emit(opts.Observer, obs.Event{Kind: obs.KindCacheCorrupt, Cell: cs.Index, Key: cs.Key, Trial: -1})
+				obs.Emit(opts.Observer, obs.Event{Kind: obs.KindCacheCorrupt, Cell: i, Key: cs.Key, Trial: -1})
 			}
 			if recs != nil {
-				out.Results[i].Records = recs
-				out.Results[i].FromCache = true
+				r.Records, r.FromCache = recs, true
 				out.CacheHits++
 				p.replayCell(opts.Observer, cs, recs)
 				continue
 			}
-			obs.Emit(opts.Observer, obs.Event{Kind: obs.KindCacheMiss, Cell: cs.Index, Key: cs.Key, Trial: -1})
+			obs.Emit(opts.Observer, obs.Event{Kind: obs.KindCacheMiss, Cell: i, Key: cs.Key, Trial: -1})
 		}
-		out.Results[i].Records = make([]TrialRecord, 0, p.cfg.Trials)
 		missing = append(missing, i)
 	}
 
-	// Compute pass: the missing cells run as a sub-slice of the engine
-	// cell list. Sub-setting never perturbs results — each cell's trial
-	// seeds derive from its key alone — and the fold appends records in
-	// trial order per cell (the engine's ordering contract). Snapshot
-	// warm-ups and system construction happen here, for exactly the
-	// cells about to execute: a fully-cached resume, and shards owning
-	// none of a cell, never pay for it.
+	// Compute pass: the pool hands the missing cells out one at a time.
+	// A cell's records depend on (seed, cell key) alone and land in the
+	// cell's own Outcome slot, so no claim order can change the output.
+	// Snapshot warm-ups and system construction happen here, for exactly
+	// the cells about to execute: a fully-cached resume, and shards
+	// owning none of a cell, never pay for it.
 	if len(missing) > 0 {
-		abs := make([]int, len(missing))
-		for j, i := range missing {
-			abs[j] = lo + i
-		}
-		if err := p.materialize(abs); err != nil {
+		if err := p.materialize(missing); err != nil {
 			return nil, err
 		}
-		cells := make([]engine.Cell, len(missing))
-		for j, i := range missing {
-			cells[j] = p.cells[lo+i]
-		}
-		// The engine sees only the missing sub-slice, so its lifecycle
-		// events carry sub-slice-local cell indices; remap them to the
-		// absolute campaign indices every other emitter uses.
-		runCfg := p.cfg
-		if opts.Observer != nil {
-			runCfg.Observer = remapObserver{o: opts.Observer, abs: abs}
-		}
-		if p.Faulted {
-			err = engine.RunFaultCellsReduce(runCfg, cells, func(cell, trial int, res *core.FaultResult) error {
-				var rec TrialRecord
-				rec.fillFault(res)
-				r := &out.Results[missing[cell]]
-				r.Records = append(r.Records, rec)
-				return nil
-			})
-		} else {
-			err = engine.RunCellsReduce(runCfg, cells, func(cell, trial int, res *core.RunResult) error {
-				var rec TrialRecord
-				rec.fillRun(res)
-				r := &out.Results[missing[cell]]
-				r.Records = append(r.Records, rec)
-				return nil
-			})
-		}
-		if err != nil {
-			return nil, err
-		}
-		if be != nil {
-			for _, i := range missing {
-				if err := p.StoreCell(be, out.Results[i].Cell.Index, out.Results[i].Records); err != nil {
-					return nil, err
+		err := engine.ForEachWorker(ctx, p.cfg.Parallelism, len(missing), func(w *engine.WorkerCtx, j int) error {
+			i := missing[j]
+			recs, err := p.computeCell(w, i)
+			if err != nil {
+				return err
+			}
+			if be != nil {
+				// Stored before the next claim: this is what makes a
+				// drain resumable.
+				if err := storeCache(be, p.cellFingerprint(&p.Cells[i]), recs); err != nil {
+					return fmt.Errorf("cell %q: %w", p.Cells[i].Key, err)
 				}
 			}
+			out.Results[i-lo].Records = recs
+			return nil
+		})
+		if err != nil {
+			if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
+				return nil, err
+			}
+			left := 0
+			for _, i := range missing {
+				if out.Results[i-lo].Records == nil {
+					left++
+				}
+			}
+			return nil, fmt.Errorf("%w: %d of %d cells remain", ErrDrained, left, hi-lo)
+		}
+		if be != nil {
 			out.CacheMisses = len(missing)
 		}
 	}
@@ -198,24 +172,15 @@ func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
 	return out, nil
 }
 
-// ComputeCell executes cell i's trials on the caller-owned worker
-// context, returning the records in trial order. The cell must have
-// been materialized (Materialize) and the plan's observer bound
-// (SetObserver) before any worker starts.
-//
-// Seeds, events and the stop rule are exactly the engine pool's — the
-// records (and the canonical event stream) are byte-identical to a
-// Plan.Run of the same cell, no matter which worker computes it or in
-// what order cells are claimed. This is the execution primitive of the
-// campaign service's work-stealing coordinator.
-func (p *Plan) ComputeCell(w *engine.WorkerCtx, i int) ([]TrialRecord, error) {
-	if p.cells[i].RunOn == nil && p.cells[i].RunFaultOn == nil {
-		return nil, fmt.Errorf("campaign: cell %q computed without Materialize", p.Cells[i].Key)
-	}
+// computeCell runs cell i's trials on the worker's context and returns
+// its records in trial order. Seeds, events and the stop rule are the
+// engine's, stamped with the absolute cell index, so the records are
+// the same whichever worker runs the cell.
+func (p *Plan) computeCell(w *engine.WorkerCtx, i int) ([]TrialRecord, error) {
 	recs := make([]TrialRecord, 0, p.cfg.Trials)
 	if p.Faulted {
-		err := engine.RunFaultCellReduce(p.cfg, w, &p.cells[i], p.Cells[i].Index,
-			func(_, trial int, res *core.FaultResult) error {
+		err := engine.RunFaultCellReduce(p.cfg, w, &p.cells[i], i,
+			func(_, _ int, res *core.FaultResult) error {
 				var rec TrialRecord
 				rec.fillFault(res)
 				recs = append(recs, rec)
@@ -223,35 +188,14 @@ func (p *Plan) ComputeCell(w *engine.WorkerCtx, i int) ([]TrialRecord, error) {
 			})
 		return recs, err
 	}
-	err := engine.RunCellReduce(p.cfg, w, &p.cells[i], p.Cells[i].Index,
-		func(_, trial int, res *core.RunResult) error {
+	err := engine.RunCellReduce(p.cfg, w, &p.cells[i], i,
+		func(_, _ int, res *core.RunResult) error {
 			var rec TrialRecord
 			rec.fillRun(res)
 			recs = append(recs, rec)
 			return nil
 		})
 	return recs, err
-}
-
-// remapObserver translates sub-slice-local engine cell indices into
-// absolute campaign cell indices before forwarding.
-type remapObserver struct {
-	o   obs.Observer
-	abs []int // local engine index -> absolute campaign index
-}
-
-func (r remapObserver) Observe(e obs.Event) {
-	if e.Cell >= 0 && e.Cell < len(r.abs) {
-		e.Cell = r.abs[e.Cell]
-	}
-	r.o.Observe(e)
-}
-
-// ReplayCell emits cell i's canonical lifecycle events reconstructed
-// from cached records (see replayCell); the campaign service uses it
-// for its own cache pass.
-func (p *Plan) ReplayCell(o obs.Observer, i int, recs []TrialRecord) {
-	p.replayCell(o, &p.Cells[i], recs)
 }
 
 // replayCell emits a cached cell's canonical lifecycle events,

@@ -9,8 +9,10 @@
 // buffers), so the steady-state trial loop allocates nothing. Results
 // stream through a fold in trial order without being retained
 // (RunCellsReduce for plain cells, RunFaultCellsReduce for injected
-// ones); RunCellReduce and RunFaultCellReduce run a single cell on a
-// caller-owned WorkerCtx.
+// ones). Callers with per-cell work of their own (the campaign executor
+// stores each cell in its cache) drive the pool through ForEachWorker
+// and run each cell with RunCellReduce or RunFaultCellReduce on the
+// worker's WorkerCtx.
 //
 // Determinism: the seed of trial t of a cell is
 //
@@ -24,6 +26,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -160,29 +163,28 @@ func cellSeedsFor(cfg Config, cells []Cell) []uint64 {
 
 // WorkerCtx is the reusable per-worker execution context of the
 // cell-at-a-time entry points (RunCellReduce, RunFaultCellReduce): the
-// per-trial Runner plus its result buffers. Callers that schedule cells
-// themselves — the campaign service's work-stealing coordinator — create
-// one per worker goroutine and reuse it across every cell that worker
-// claims, exactly as the pool paths do internally.
+// per-trial Runner plus its result buffers. Every pool worker owns one
+// and reuses it across every cell it claims; ForEachWorker hands it to
+// callers that run cells one at a time.
 type WorkerCtx struct {
 	rn       *core.Runner
 	res      core.RunResult
 	faultRes core.FaultResult
 }
 
-// NewWorkerCtx returns a fresh worker context.
-func NewWorkerCtx() *WorkerCtx {
+// newWorkerCtx returns a fresh worker context.
+func newWorkerCtx() *WorkerCtx {
 	return &WorkerCtx{rn: core.NewRunner()}
 }
 
 // RunCellReduce executes one cell's trials on w, folding every result
-// in trial order: the per-range execution primitive behind
+// in trial order: the per-cell execution primitive behind
 // RunCellsReduce. idx is the cell index stamped on events and passed to
 // fold — callers running a sub-set of a larger grid pass the absolute
 // index, so no remapping layer is needed. Trial seeds derive from
 // (cfg.Seed, cell.Key, trial) alone: for a fixed cfg the fold sequence
 // and the emitted events are byte-identical no matter which worker runs
-// the cell, in what order cells are claimed, or how a range was split.
+// the cell or in what order cells are claimed.
 func RunCellReduce(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold func(cell, trial int, res *core.RunResult) error) error {
 	cfg = cfg.WithDefaults()
 	return runCellReduce(cfg, w, cell, idx, rng.DeriveString(cfg.Seed, cell.Key), fold)
@@ -282,7 +284,7 @@ func runTrials(cfg Config, key string, idx int, cellSeed uint64,
 func RunCellsReduce(cfg Config, cells []Cell, fold func(cell, trial int, res *core.RunResult) error) error {
 	cfg = cfg.WithDefaults()
 	cellSeeds := cellSeedsFor(cfg, cells)
-	return forEachCtx(cfg.Parallelism, len(cells), NewWorkerCtx, func(w *WorkerCtx, i int) error {
+	return forEachCtx(context.Background(), cfg.Parallelism, len(cells), newWorkerCtx, func(w *WorkerCtx, i int) error {
 		return runCellReduce(cfg, w, &cells[i], i, cellSeeds[i], fold)
 	})
 }
@@ -297,7 +299,7 @@ func RunCellsReduce(cfg Config, cells []Cell, fold func(cell, trial int, res *co
 func RunFaultCellsReduce(cfg Config, cells []Cell, fold func(cell, trial int, res *core.FaultResult) error) error {
 	cfg = cfg.WithDefaults()
 	cellSeeds := cellSeedsFor(cfg, cells)
-	return forEachCtx(cfg.Parallelism, len(cells), NewWorkerCtx, func(w *WorkerCtx, i int) error {
+	return forEachCtx(context.Background(), cfg.Parallelism, len(cells), newWorkerCtx, func(w *WorkerCtx, i int) error {
 		return runFaultCellReduce(cfg, w, &cells[i], i, cellSeeds[i], fold)
 	})
 }
@@ -307,15 +309,28 @@ func RunFaultCellsReduce(cfg Config, cells []Cell, fold func(cell, trial int, re
 // jobs; in-flight jobs run to completion. Among the errors observed, the
 // one with the lowest job index is returned.
 func ForEach(workers, n int, fn func(i int) error) error {
-	return forEachCtx(workers, n, func() struct{} { return struct{}{} },
+	return forEachCtx(context.Background(), workers, n, func() struct{} { return struct{}{} },
 		func(_ struct{}, i int) error { return fn(i) })
 }
 
-// forEachCtx is ForEach with a lazily-built per-worker context: every
-// worker goroutine calls newCtx once and passes the context to each job
-// it executes, giving jobs worker-affine reusable state (the trial
-// engine's *core.Runner) without synchronization.
-func forEachCtx[T any](workers, n int, newCtx func() T, fn func(ctx T, i int) error) error {
+// ForEachWorker is ForEach for callers that run cells one at a time
+// (RunCellReduce, RunFaultCellReduce) around their own per-cell work:
+// each worker goroutine owns one WorkerCtx, reused for every job it
+// claims. ctx is checked before each claim: once it is canceled no
+// worker claims another job, in-flight jobs run to completion, and
+// ForEachWorker returns ctx.Err() if any job was left unclaimed.
+func ForEachWorker(ctx context.Context, workers, n int, fn func(w *WorkerCtx, i int) error) error {
+	return forEachCtx(ctx, workers, n, newWorkerCtx, fn)
+}
+
+// forEachCtx is the pool behind ForEach, ForEachWorker and the
+// *CellsReduce entry points: every worker goroutine calls newState once
+// and passes that state to each job it executes, giving jobs
+// worker-affine reusable state (the trial engine's *core.Runner)
+// without synchronization. Workers claim jobs from one atomic counter,
+// checking ctx before each claim; a cancel that leaves jobs unclaimed
+// returns ctx.Err(), unless a job failed (its error wins).
+func forEachCtx[T any](ctx context.Context, workers, n int, newState func() T, fn func(st T, i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -323,9 +338,12 @@ func forEachCtx[T any](workers, n int, newCtx func() T, fn func(ctx T, i int) er
 		workers = n
 	}
 	if workers <= 1 {
-		ctx := newCtx()
+		st := newState()
 		for i := 0; i < n; i++ {
-			if err := fn(ctx, i); err != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := fn(st, i); err != nil {
 				return err
 			}
 		}
@@ -344,13 +362,16 @@ func forEachCtx[T any](workers, n int, newCtx func() T, fn func(ctx T, i int) er
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			ctx := newCtx()
+			st := newState()
 			for {
+				if ctx.Err() != nil {
+					return
+				}
 				i := int(next.Add(1)) - 1
 				if i >= n || failed.Load() {
 					return
 				}
-				if err := fn(ctx, i); err != nil {
+				if err := fn(st, i); err != nil {
 					mu.Lock()
 					if i < errIdx {
 						errIdx, firstErr = i, err
@@ -363,5 +384,10 @@ func forEachCtx[T any](workers, n int, newCtx func() T, fn func(ctx T, i int) er
 		}()
 	}
 	wg.Wait()
+	if firstErr == nil && next.Load() < int64(n) {
+		// No job failed, yet some were never claimed: every worker
+		// stopped at the ctx check.
+		return ctx.Err()
+	}
 	return firstErr
 }

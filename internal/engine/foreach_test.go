@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -44,5 +46,52 @@ func TestForEachLowestErrorWins(t *testing.T) {
 	})
 	if err == nil || err.Error() != "err-3" {
 		t.Fatalf("err = %v, want err-3", err)
+	}
+}
+
+// TestForEachWorkerCancel: once ctx is canceled no worker claims
+// another job and the jobs in flight run to completion. The pool
+// reports ctx.Err() when jobs were left unclaimed, and nil when the
+// cancel landed after the last claim (the work is whole).
+func TestForEachWorkerCancel(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		workers, n int
+		wantErr    error
+	}{
+		{1, 100, context.Canceled},
+		{4, 100, context.Canceled},
+		{4, 4, nil},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var started, finished atomic.Int64
+		inFlight := make(chan struct{}, tc.workers)
+		release := make(chan struct{})
+		errc := make(chan error, 1)
+		go func() {
+			errc <- ForEachWorker(ctx, tc.workers, tc.n, func(_ *WorkerCtx, i int) error {
+				started.Add(1)
+				select {
+				case inFlight <- struct{}{}:
+				default: // a claim after the cancel: counted, must not block
+				}
+				<-release
+				finished.Add(1)
+				return nil
+			})
+		}()
+		// Every worker holds a job when the cancel lands.
+		for k := 0; k < tc.workers; k++ {
+			<-inFlight
+		}
+		cancel()
+		close(release)
+		if err := <-errc; !errors.Is(err, tc.wantErr) {
+			t.Fatalf("workers=%d n=%d: err = %v, want %v", tc.workers, tc.n, err, tc.wantErr)
+		}
+		if s, f := started.Load(), finished.Load(); s != int64(tc.workers) || f != s {
+			t.Fatalf("workers=%d n=%d: %d jobs started, %d finished, want %d of each",
+				tc.workers, tc.n, s, f, tc.workers)
+		}
 	}
 }

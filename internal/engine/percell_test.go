@@ -40,9 +40,9 @@ func poolFolds(t *testing.T, cfg Config, cells []Cell) map[int][]foldLog {
 // TestRunCellReduceMatchesPool: running cells one at a time through
 // RunCellReduce — on a single reused WorkerCtx, in reverse order —
 // reproduces the pool path's fold sequence exactly, including under a
-// stop rule. This is the primitive the
-// campaign service's work-stealing coordinator is built on: any
-// partition of cells onto workers merges byte-identically.
+// stop rule. This is the primitive campaign.Plan.Run executes its
+// missing cells with: any assignment of cells to workers merges
+// byte-identically.
 func TestRunCellReduceMatchesPool(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -64,7 +64,7 @@ func TestRunCellReduceMatchesPool(t *testing.T) {
 			}
 			want := poolFolds(t, tc.cfg, mk())
 
-			w := NewWorkerCtx()
+			w := newWorkerCtx()
 			got := make(map[int][]foldLog)
 			cells := mk()
 			for i := len(cells) - 1; i >= 0; i-- { // reverse claim order
@@ -96,7 +96,7 @@ func TestRunCellReduceAbsoluteIndex(t *testing.T) {
 	cells := syntheticCells(1, func(cell, trial int) int { return 3 })
 	sink := obsCollector{}
 	cfg := Config{Seed: 1, Trials: 2, Parallelism: 1, Observer: &sink}
-	err := RunCellReduce(cfg, NewWorkerCtx(), &cells[0], 17, func(cell, trial int, res *core.RunResult) error {
+	err := RunCellReduce(cfg, newWorkerCtx(), &cells[0], 17, func(cell, trial int, res *core.RunResult) error {
 		if cell != 17 {
 			return fmt.Errorf("fold saw cell %d, want 17", cell)
 		}
@@ -134,7 +134,7 @@ func TestRunFaultCellReduceGuards(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Seed: 1, Trials: 1, Parallelism: 1}
 	cells := syntheticCells(1, func(cell, trial int) int { return 1 })
-	err := RunFaultCellReduce(cfg, NewWorkerCtx(), &cells[0], 0,
+	err := RunFaultCellReduce(cfg, newWorkerCtx(), &cells[0], 0,
 		func(cell, trial int, res *core.FaultResult) error { return nil })
 	if err == nil {
 		t.Fatal("RunFaultCellReduce accepted a cell without RunFaultOn")
@@ -146,7 +146,7 @@ func TestRunFaultCellReduceGuards(t *testing.T) {
 	}}
 	noFold := func(cell, trial int, res *core.RunResult) error { return nil }
 	want := `cell "fault-only" has no RunOn`
-	if err := RunCellReduce(cfg, NewWorkerCtx(), &faultOnly[0], 0, noFold); err == nil || err.Error() != want {
+	if err := RunCellReduce(cfg, newWorkerCtx(), &faultOnly[0], 0, noFold); err == nil || err.Error() != want {
 		t.Fatalf("RunCellReduce on a fault-only cell: err = %v, want %q", err, want)
 	}
 	if err := RunCellsReduce(cfg, faultOnly, noFold); err == nil || err.Error() != want {
@@ -172,7 +172,7 @@ func TestRunCellReduceRealProtocol(t *testing.T) {
 	}
 	want := poolFolds(t, cfg, build())
 
-	w := NewWorkerCtx()
+	w := newWorkerCtx()
 	got := make(map[int][]foldLog)
 	cells := build()
 	for i := range cells {

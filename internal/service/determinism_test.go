@@ -36,34 +36,23 @@ metrics silent legitimate rounds moves total-reads total-bits
 // artifacts is one run's three deterministic outputs.
 type artifacts struct{ jsonl, events, table string }
 
-// cliArtifacts produces the reference bytes the CLI path
-// (campaign.Plan.Run) emits for a campaign.
+// cliArtifacts produces the reference bytes the CLI path emits for a
+// campaign: campaign.Plan.Run at Parallelism 1 with no cache.
 func cliArtifacts(t *testing.T, src string) artifacts {
-	t.Helper()
-	plan := compilePlan(t, src)
-	replay := obs.NewReplaySink()
-	out, err := plan.Run(campaign.RunOptions{Observer: replay})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return renderArtifacts(t, out, replay)
-}
-
-func compilePlan(t *testing.T, src string) *campaign.Plan {
 	t.Helper()
 	spec, err := campaign.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := campaign.Compile(spec, 2)
+	plan, err := campaign.Compile(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return plan
-}
-
-func renderArtifacts(t *testing.T, out *campaign.Outcome, replay *obs.ReplaySink) artifacts {
-	t.Helper()
+	replay := obs.NewReplaySink()
+	out, err := plan.Run(context.Background(), campaign.RunOptions{Observer: replay})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var jsonl, events bytes.Buffer
 	if err := out.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
@@ -74,59 +63,57 @@ func renderArtifacts(t *testing.T, out *campaign.Outcome, replay *obs.ReplaySink
 	return artifacts{jsonl.String(), events.String(), out.Table().String()}
 }
 
-// execArtifacts runs a campaign through the service executor.
-func execArtifacts(t *testing.T, src string, opts ExecOptions) (artifacts, *campaign.Outcome) {
+// servedArtifacts submits a campaign, waits for it and returns the
+// served outputs plus the run's cache hit/miss split.
+func servedArtifacts(t *testing.T, svc *Service, src string) (a artifacts, hits, misses int) {
 	t.Helper()
-	plan := compilePlan(t, src)
-	replay := obs.NewReplaySink()
-	opts.Observer = obs.Tee(replay, opts.Observer)
-	out, err := Execute(context.Background(), plan, opts)
+	r, err := svc.Submit(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return renderArtifacts(t, out, replay), out
+	<-r.Done()
+	if state, err := r.State(); state != StateDone {
+		t.Fatalf("run %s: state %s, err %v", r.ID, state, err)
+	}
+	out := func(kind string) string {
+		b, err := r.Output(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	hits, misses = r.CacheStats()
+	return artifacts{out("jsonl"), out("events"), out("table")}, hits, misses
 }
 
-// TestExecuteDeterminism is the tentpole acceptance test: for worker
-// counts {1, 4}, adversarial steal schedules, and cold vs warm cache,
-// the served run's JSONL, summary table and canonical event log are
-// byte-identical to the CLI run at the same seed.
+// TestExecuteDeterminism is the served-equals-CLI contract: a service
+// at Workers 1 and 4, cold and then warm over one shared backend,
+// serves JSONL, summary tables and canonical event logs byte-identical
+// to the CLI run at the same seed.
 func TestExecuteDeterminism(t *testing.T) {
 	t.Parallel()
 	for _, src := range []string{faultCampaignSrc, plainCampaignSrc} {
-		src := src
 		name := strings.Fields(src)[1]
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			want := cliArtifacts(t, src)
-			policies := map[string]StealPolicy{
-				"largest": nil, "smallest": stealSmallest, "rotate": rotatePolicy(),
-			}
+			const cells = 8
 			for _, workers := range []int{1, 4} {
-				for pname, steal := range policies {
-					cache := campaign.NewMemBackend()
-					opts := ExecOptions{Workers: workers, Steal: steal, Cache: cache}
-					cold, outCold := execArtifacts(t, src, opts)
-					if cold != want {
-						t.Fatalf("workers=%d steal=%s cold: artifacts differ from CLI run\n%s",
-							workers, pname, diffHint(want.jsonl, cold.jsonl))
+				svc := newTestService(t, Config{Workers: workers, Cache: campaign.NewMemBackend()})
+				for _, pass := range []struct {
+					name         string
+					hits, misses int
+				}{{"cold", 0, cells}, {"warm", cells, 0}} {
+					got, hits, misses := servedArtifacts(t, svc, src)
+					if got != want {
+						t.Fatalf("workers=%d %s: served artifacts differ from the CLI run\n%s",
+							workers, pass.name, diffHint(want.jsonl, got.jsonl))
 					}
-					if outCold.CacheHits != 0 || outCold.CacheMisses != len(outCold.Plan.Cells) {
-						t.Fatalf("cold run: %d hits, %d misses", outCold.CacheHits, outCold.CacheMisses)
-					}
-					warm, outWarm := execArtifacts(t, src, opts)
-					if warm != want {
-						t.Fatalf("workers=%d steal=%s warm: artifacts differ from CLI run", workers, pname)
-					}
-					if outWarm.CacheHits != len(outWarm.Plan.Cells) {
-						t.Fatalf("warm run: only %d of %d cells hit", outWarm.CacheHits, len(outWarm.Plan.Cells))
+					if hits != pass.hits || misses != pass.misses {
+						t.Fatalf("workers=%d %s: %d hits, %d misses, want %d and %d",
+							workers, pass.name, hits, misses, pass.hits, pass.misses)
 					}
 				}
-			}
-			// No cache at all is the same bytes too.
-			noCache, _ := execArtifacts(t, src, ExecOptions{Workers: 3})
-			if noCache != want {
-				t.Fatal("cache-less Execute differs from CLI run")
 			}
 		})
 	}
@@ -143,73 +130,4 @@ func diffHint(want, got string) string {
 		}
 	}
 	return "jsonl lengths differ"
-}
-
-// TestExecuteDrainAndResume is the graceful-shutdown contract at the
-// executor level: a drain (context cancel) lets in-flight cells finish
-// and persist, already-complete cells stay cached, and a fresh executor
-// over the same backend resumes to byte-identical final output.
-func TestExecuteDrainAndResume(t *testing.T) {
-	t.Parallel()
-	want := cliArtifacts(t, faultCampaignSrc)
-	cache := campaign.NewMemBackend()
-
-	// Gate: block the (single) worker inside its second cell-start
-	// event, then cancel — the worker must finish that cell, persist it,
-	// and exit without starting a third.
-	ctx, cancel := context.WithCancel(context.Background())
-	gate := &cellGate{trigger: 2, hit: make(chan struct{}), release: make(chan struct{})}
-	plan := compilePlan(t, faultCampaignSrc)
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := Execute(ctx, plan, ExecOptions{Workers: 1, Cache: cache, Observer: gate})
-		errCh <- err
-	}()
-	<-gate.hit
-	cancel()
-	close(gate.release)
-	err := <-errCh
-	if err == nil || !strings.Contains(err.Error(), "drained") {
-		t.Fatalf("drained Execute returned %v, want ErrDrained", err)
-	}
-	// Exactly the two started cells persisted: the drain neither loses
-	// finished work nor starts new work.
-	entries, _, err := cache.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entries != 2 {
-		t.Fatalf("cache holds %d cells after drain, want 2", entries)
-	}
-
-	// Resume: a fresh plan over the same backend completes and matches
-	// the CLI bytes; the two drained cells are hits.
-	resumed, out := execArtifacts(t, faultCampaignSrc, ExecOptions{Workers: 4, Cache: cache})
-	if resumed != want {
-		t.Fatal("resumed run differs from the CLI run")
-	}
-	if out.CacheHits != 2 || out.CacheMisses != len(out.Plan.Cells)-2 {
-		t.Fatalf("resume: %d hits, %d misses, want 2 and %d", out.CacheHits, out.CacheMisses, len(out.Plan.Cells)-2)
-	}
-}
-
-// cellGate signals on the trigger-th cell-start and blocks that worker
-// until released.
-type cellGate struct {
-	trigger int
-	hit     chan struct{}
-	release chan struct{}
-	count   int
-}
-
-func (g *cellGate) Observe(e obs.Event) {
-	if e.Kind != obs.KindCellStart {
-		return
-	}
-	// Single worker: Observe runs on one goroutine, no locking needed.
-	g.count++
-	if g.count == g.trigger {
-		close(g.hit)
-		<-g.release
-	}
 }

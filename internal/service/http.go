@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -32,9 +31,9 @@ const maxSpecBytes = 1 << 20
 // The jsonl/events/table/csv artifacts are rendered exactly once at run
 // completion and carry the determinism contract: byte-identical to a
 // CLI run of the same campaign at the same seed, for every worker
-// count, steal schedule and cache state. The stream is live diagnostics
-// (bounded per-subscriber buffering; a lagging client's feed is cut,
-// marked by a trailing truncation line).
+// count and cache state. The stream is live diagnostics (bounded
+// per-subscriber buffering; a lagging client's feed is cut, marked by a
+// trailing truncation line).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -87,6 +86,15 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// submitStatus maps a rejected submission to its HTTP status: 503 when
+// the daemon cannot take the run now, 400 for a bad spec.
+func submitStatus(err error) int {
+	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrShuttingDown) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	src, err := io.ReadAll(io.LimitReader(req.Body, maxSpecBytes+1))
 	if err != nil {
@@ -104,11 +112,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	}
 	r, err := s.Submit(string(src))
 	if err != nil {
-		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "queue full") || strings.Contains(err.Error(), "shutting down") {
-			code = http.StatusServiceUnavailable
-		}
-		writeError(w, code, err)
+		writeError(w, submitStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, runStatus(r))
@@ -123,14 +127,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 func (s *Service) submitStream(w http.ResponseWriter, req *http.Request, src string) {
 	r, sub, err := s.SubmitStream(src, 4096)
 	if err != nil {
-		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "queue full") || strings.Contains(err.Error(), "shutting down") {
-			code = http.StatusServiceUnavailable
-		}
-		if sub != nil {
-			sub.Cancel()
-		}
-		writeError(w, code, err)
+		writeError(w, submitStatus(err), err)
 		return
 	}
 	defer sub.Cancel()

@@ -18,14 +18,9 @@ import (
 // server, both torn down with the test.
 func startTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
-	svc := New(cfg)
+	svc := newTestService(t, cfg)
 	ts := httptest.NewServer(svc.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		svc.Shutdown(ctx)
-	})
+	t.Cleanup(ts.Close)
 	return svc, ts
 }
 
@@ -77,7 +72,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		hit:     make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	svc, ts := startTestServer(t, Config{Workers: 4, Steal: stealSmallest, Cache: gate})
+	svc, ts := startTestServer(t, Config{Workers: 4, Cache: gate})
 
 	posted := postCampaign(t, ts, faultCampaignSrc)
 	if posted.ID == "" || posted.Cells != 8 || posted.Name != "svc-fault" {
@@ -241,37 +236,61 @@ func TestHTTPSubmitStream(t *testing.T) {
 	}
 }
 
-// TestHTTPErrors: the API's failure surface.
+// TestHTTPErrors: the API's failure surface. A bad spec is the
+// client's fault (400); a full queue or a shutting-down daemon is not
+// (503), on both submit forms.
 func TestHTTPErrors(t *testing.T) {
 	t.Parallel()
-	_, ts := startTestServer(t, Config{Workers: 1})
+	gate := &gateBackend{
+		Backend: campaign.NewMemBackend(),
+		hit:     make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	svc, ts := startTestServer(t, Config{Workers: 1, QueueDepth: 1, Cache: gate})
+	post := func(query, src string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/runs"+query, "text/plain", strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
 
 	// Bad spec: rejected at the POST.
-	resp, err := http.Post(ts.URL+"/v1/runs", "text/plain", strings.NewReader("campaign broken\nnonsense directive\n"))
-	if err != nil {
-		t.Fatal(err)
+	if code := post("", "campaign broken\nnonsense directive\n"); code != http.StatusBadRequest {
+		t.Fatalf("bad spec: status %d", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad spec: status %d", resp.StatusCode)
-	}
-
 	// Oversized spec.
-	big := strings.Repeat("# padding\n", maxSpecBytes/10+1)
-	resp, err = http.Post(ts.URL+"/v1/runs", "text/plain", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized spec: status %d", resp.StatusCode)
+	if code := post("", strings.Repeat("# padding\n", maxSpecBytes/10+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d", code)
 	}
 
 	getBody(t, ts.URL+"/v1/runs/run-9999", http.StatusNotFound)
 	getBody(t, ts.URL+"/v1/runs/run-9999/jsonl", http.StatusNotFound)
 
+	// Full queue: the first run blocks in its cache pass, the second
+	// waits in the one queue slot, a third is refused.
 	posted := postCampaign(t, ts, plainCampaignSrc)
-	// Unknown artifact name on a real run: 404 once done (and never a
-	// panic while running).
+	<-gate.hit
+	postCampaign(t, ts, plainCampaignSrc)
+	for _, q := range []string{"", "?stream=1"} {
+		if code := post(q, plainCampaignSrc); code != http.StatusServiceUnavailable {
+			t.Fatalf("POST%s to a full queue: status %d", q, code)
+		}
+	}
+	close(gate.release)
 	getBody(t, ts.URL+"/v1/runs/"+posted.ID, http.StatusOK)
+
+	// Shutting down: the daemon refuses new runs.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"", "?stream=1"} {
+		if code := post(q, plainCampaignSrc); code != http.StatusServiceUnavailable {
+			t.Fatalf("POST%s after shutdown: status %d", q, code)
+		}
+	}
 }

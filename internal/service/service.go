@@ -1,3 +1,16 @@
+// Package service is the campaign daemon's engine room: a run registry
+// and job queue over the one campaign executor (campaign.Plan.Run),
+// and an HTTP API (submit a .campaign spec, stream per-trial progress
+// as JSONL, fetch tables/CSV/canonical events when done).
+//
+// Determinism contract: a served run's merged JSONL, summary tables and
+// canonical event log are byte-identical to a CLI run of the same
+// campaign at the same seed, regardless of worker count or cold/warm
+// cache state. The contract holds because both run the same executor:
+// cells are the indivisible work unit, each cell's records are a pure
+// function of (seed, cell key), and results land in the cell's own
+// slot, so scheduling can never reorder or perturb bytes. Live progress
+// streams are best-effort diagnostics and carry no such guarantee.
 package service
 
 import (
@@ -110,17 +123,25 @@ type Config struct {
 	// Cache is the shared result backend (nil: a fresh in-memory
 	// backend — cross-run dedup without persistence).
 	Cache campaign.Backend
-	// Workers is each run's coordinator worker count (< 1: GOMAXPROCS).
+	// Workers is each run's engine pool size, the compiled plan's
+	// Parallelism (< 1: GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the submitted-but-not-started backlog (< 1: 16).
 	QueueDepth int
-	// Steal overrides the work-stealing policy (tests).
-	Steal StealPolicy
 }
 
+// Submission errors the HTTP API maps to 503 Service Unavailable: the
+// spec is fine, the daemon cannot take it now.
+var (
+	// ErrQueueFull rejects a run while QueueDepth runs wait to start.
+	ErrQueueFull = errors.New("service: queue full")
+	// ErrShuttingDown rejects a run submitted after Shutdown began.
+	ErrShuttingDown = errors.New("service: shutting down, not accepting runs")
+)
+
 // Service is the daemon core: a run registry and a FIFO job queue
-// executing one run at a time (each run parallelizes internally via the
-// work-stealing coordinator). All methods are safe for concurrent use.
+// executing one run at a time (each run parallelizes internally on the
+// engine pool). All methods are safe for concurrent use.
 type Service struct {
 	cfg   Config
 	cache campaign.Backend
@@ -170,16 +191,17 @@ func (s *Service) Submit(src string) (*Run, error) {
 // the run can start, so the feed observes the run from its very first
 // event — a Subscribe after Submit races with execution and misses the
 // head of a small campaign. buf is the subscription's buffer (see
-// Run.Subscribe). The caller owns the subscription; a failed enqueue
-// returns it already closed.
+// Run.Subscribe). The caller owns the subscription of an accepted run;
+// a rejected one returns none.
 func (s *Service) SubmitStream(src string, buf int) (*Run, *obs.Subscription, error) {
 	return s.submit(src, buf)
 }
 
-// submit registers and enqueues a run, subscribing to its broadcast
-// between registration and enqueue when buf >= 0 (the dispatcher only
-// sees the run after the queue send, so the subscription cannot miss
-// events).
+// submit enqueues and registers a run, subscribing to its broadcast
+// before the enqueue when buf >= 0 (the dispatcher only sees the run
+// after the queue send, so the subscription cannot miss events). The
+// non-blocking send happens under s.mu, so a run is registered exactly
+// when it was enqueued: a rejected submission leaves no trace.
 func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, error) {
 	spec, err := campaign.Parse(src)
 	if err != nil {
@@ -190,33 +212,33 @@ func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, error) {
 		return nil, nil, err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return nil, nil, errors.New("service: shutting down, not accepting runs")
+		return nil, nil, ErrShuttingDown
 	}
-	s.nextID++
 	r := &Run{
-		ID:        fmt.Sprintf("run-%04d", s.nextID),
+		ID:        fmt.Sprintf("run-%04d", s.nextID+1),
 		plan:      plan,
 		broadcast: obs.NewBroadcast(),
 		done:      make(chan struct{}),
 		state:     StateQueued,
 	}
-	s.runs[r.ID] = r
-	s.order = append(s.order, r.ID)
-	s.mu.Unlock()
-
 	var sub *obs.Subscription
 	if buf >= 0 {
 		sub = r.Subscribe(buf)
 	}
 	select {
 	case s.queue <- r:
-		return r, sub, nil
 	default:
-		s.finish(r, fmt.Errorf("service: queue full (%d runs waiting)", cap(s.queue)))
-		return nil, sub, fmt.Errorf("service: queue full (depth %d)", cap(s.queue))
+		if sub != nil {
+			sub.Cancel()
+		}
+		return nil, nil, fmt.Errorf("%w (%d runs waiting)", ErrQueueFull, cap(s.queue))
 	}
+	s.nextID++
+	s.runs[r.ID] = r
+	s.order = append(s.order, r.ID)
+	return r, sub, nil
 }
 
 // Get looks a run up by id.
@@ -283,12 +305,7 @@ func (s *Service) failQueued() {
 func (s *Service) execute(r *Run) {
 	r.setState(StateRunning)
 	replay := obs.NewReplaySink()
-	out, err := Execute(s.ctx, r.plan, ExecOptions{
-		Workers:  s.cfg.Workers,
-		Steal:    s.cfg.Steal,
-		Cache:    s.cache,
-		Observer: obs.Tee(replay, r.broadcast),
-	})
+	out, err := r.plan.Run(s.ctx, campaign.RunOptions{Cache: s.cache, Observer: obs.Tee(replay, r.broadcast)})
 	if err != nil {
 		s.finish(r, err)
 		return
@@ -337,7 +354,7 @@ func (s *Service) finish(r *Run, err error) {
 // Shutdown drains the service: no new submissions, the in-flight run's
 // workers finish (and persist) the cells they are computing, queued
 // runs fail cleanly, the dispatcher exits. ctx bounds the wait. A
-// drained run reports ErrDrained; re-submitting its spec to a new
+// drained run reports campaign.ErrDrained; re-submitting its spec to a new
 // service over the same cache backend resumes from the persisted cells
 // and produces byte-identical final output.
 func (s *Service) Shutdown(ctx context.Context) error {

@@ -79,7 +79,7 @@ func TestServiceShutdownDrainsAndResumes(t *testing.T) {
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if state, err := r1.State(); state != StateFailed || !errors.Is(err, ErrDrained) {
+	if state, err := r1.State(); state != StateFailed || !errors.Is(err, campaign.ErrDrained) {
 		t.Fatalf("drained run state %s, err %v", state, err)
 	}
 	// The in-flight cell persisted; nothing else started.
@@ -159,7 +159,7 @@ func TestServiceShutdownFailsQueuedRuns(t *testing.T) {
 	}
 	waitClosed(t, first.Done())
 	waitClosed(t, queued.Done())
-	if state, err := first.State(); state != StateFailed || !errors.Is(err, ErrDrained) {
+	if state, err := first.State(); state != StateFailed || !errors.Is(err, campaign.ErrDrained) {
 		t.Fatalf("in-flight run: state %s, err %v", state, err)
 	}
 	if state, err := queued.State(); state != StateFailed || err == nil || !strings.Contains(err.Error(), "before the run started") {
@@ -170,20 +170,61 @@ func TestServiceShutdownFailsQueuedRuns(t *testing.T) {
 	}
 }
 
+// newTestService starts a service that is shut down with the test.
+func newTestService(t *testing.T, cfg Config) *Service {
+	t.Helper()
+	svc := New(cfg)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		svc.Shutdown(ctx)
+	})
+	return svc
+}
+
 // TestServiceRejectsBadSpecAtSubmit: parse and compile errors surface
 // at Submit, not mid-queue.
 func TestServiceRejectsBadSpecAtSubmit(t *testing.T) {
 	t.Parallel()
-	svc := New(Config{Workers: 1})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		svc.Shutdown(ctx)
-	}()
+	svc := newTestService(t, Config{Workers: 1})
 	if _, err := svc.Submit("not a campaign at all"); err == nil {
 		t.Fatal("garbage spec accepted")
 	}
 	if runs := svc.Runs(); len(runs) != 0 {
 		t.Fatalf("rejected spec left %d runs registered", len(runs))
 	}
+}
+
+// TestServiceQueueFullLeavesNoRun: a submission refused for a full
+// queue reports ErrQueueFull and registers nothing — no run the client
+// never got an ID for shows up in Runs().
+func TestServiceQueueFullLeavesNoRun(t *testing.T) {
+	t.Parallel()
+	gate := &gateBackend{
+		Backend: campaign.NewMemBackend(),
+		hit:     make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	svc := newTestService(t, Config{Cache: gate, Workers: 1, QueueDepth: 1})
+	running, err := svc.Submit(plainCampaignSrc) // dispatcher blocks in its cache pass
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.hit
+	queued, err := svc.Submit(plainCampaignSrc) // fills the queue
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit(plainCampaignSrc); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit to a full queue: err %v, want ErrQueueFull", err)
+	}
+	if _, _, err := svc.SubmitStream(plainCampaignSrc, 16); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("stream submit to a full queue: err %v, want ErrQueueFull", err)
+	}
+	if runs := svc.Runs(); len(runs) != 2 {
+		t.Fatalf("%d runs registered after two rejections, want the 2 accepted", len(runs))
+	}
+	close(gate.release)
+	waitClosed(t, running.Done())
+	waitClosed(t, queued.Done())
 }
